@@ -94,7 +94,9 @@ fn bench_predict(c: &mut Criterion) {
     };
     let model = ExtraTrees::fit(&xs, &ys, params);
 
-    // Allocating baseline: Vec<Vec<f64>> rows re-packed every call.
+    // Allocating baseline: `predict_batch` re-packs the Vec<Vec<f64>>
+    // rows into a CompactMatrix and recompiles the forest on every call
+    // (it runs the same compact traversal as the search, without reuse).
     c.bench_function("hotpath/predict_batch_512", |b| {
         b.iter(|| black_box(model.predict_batch(black_box(&xs))))
     });
@@ -141,11 +143,11 @@ fn bench_predict(c: &mut Criterion) {
 }
 
 fn bench_pool_feature_reuse(c: &mut Criterion) {
-    // The closure-based serial search backend used to re-featurize every
-    // remaining candidate on every scoring round. This pair pins the win
-    // from caching the binarized pool: the baseline pays featurization +
-    // binarization + compilation per round, the cached path only refreshes
-    // the compiled forest against the prebuilt CompactMatrix.
+    // The search used to re-featurize every remaining candidate on every
+    // scoring round. This pair pins the win from caching the binarized
+    // pool: the baseline pays featurization + binarization + compilation
+    // per round, the cached path only refreshes the compiled forest
+    // against the prebuilt CompactMatrix.
     let w = kernels::eqn1(10);
     let tuner = WorkloadTuner::build(&w);
     let arch = gpusim::gtx980();

@@ -114,7 +114,7 @@ impl HotPathStats {
 }
 
 /// Point-in-time view of [`HotPathStats`] plus the surrogate's scoring time
-/// (tracked by the search backend rather than the cache).
+/// (tracked by the search driver rather than the cache).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HotPathSnapshot {
     /// Time decoding flat ids into per-op configuration digits.

@@ -69,10 +69,7 @@ pub mod store;
 pub mod variant;
 pub mod workload;
 
-pub use backend::{
-    backend_by_key, backend_keys, builtin_backends, tune_all_backends, tune_all_backends_with,
-    Backend, BackendCaps, BackendSet, BackendTuning,
-};
+pub use backend::{Backend, BackendCaps, BackendSet};
 pub use cache::EvalCache;
 pub use error::{BarracudaError, Result};
 pub use fusionopt::{fuse_alternatives, FusedAlternative};
@@ -84,7 +81,7 @@ pub use serve::{
     AdmissionGate, ChaosPlan, Daemon, Listen, MetricsSnapshot, ServeMetrics, ServeOptions,
     ServedTune,
 };
-pub use session::{PlanSource, SessionOutcome, SweepOutcome, TuningSession};
+pub use session::{BackendTuning, PlanSource, SessionOutcome, SweepOutcome, TuningSession};
 pub use store::{
     PlanStore, StoreEntry, StoreFault, StoreFaultPlan, StoreKey, StoreOptions, StoreScan,
 };

@@ -27,7 +27,7 @@
 //! Replaying under a different objective than the plan was tuned for is
 //! the same class of error: use [`TunedPlan::validate_objective`].
 
-use crate::backend::backend_by_key;
+use crate::backend::{Backend, BackendSet};
 use crate::cache::{EvalCache, HotPathSnapshot};
 use crate::error::BarracudaError;
 use crate::json::Json;
@@ -129,7 +129,8 @@ pub struct TunedPlan {
     /// The backend's [`crate::backend::Backend::cache_salt`] at save time
     /// (schema v2). Replay refuses a plan whose salt differs from the live
     /// backend's — a changed model or architecture must re-tune, never
-    /// serve a stale mapping. Zero means unknown (legacy v1 plan).
+    /// serve a stale mapping. Zero means unknown, which only a legacy v1
+    /// plan may be: a v2+ plan with salt zero is refused on replay.
     pub cache_salt: u64,
     /// Human-readable architecture name at save time.
     pub arch_name: String,
@@ -154,28 +155,12 @@ pub struct TunedPlan {
 impl TunedPlan {
     /// Captures a finished tuning run as a plan. The `tuner` must be the
     /// one the result came from (it decomposes the joint id), and
-    /// `backend` the built-in registry key of the architecture searched.
-    /// Runtime-loaded backends go through [`TunedPlan::from_tuned_for`].
-    pub fn from_tuned(tuner: &WorkloadTuner, backend: &str, tuned: &TunedWorkload) -> TunedPlan {
-        let salt = backend_by_key(backend).map_or(0, |b| b.cache_salt());
-        Self::from_parts(tuner, backend, salt, tuned)
-    }
-
-    /// [`TunedPlan::from_tuned`] with the backend already resolved — the
-    /// salt provenance records the backend's descriptor digest, whichever
+    /// `backend` the backend that was searched — the plan records its key
+    /// and its cache salt (a GPU backend's descriptor digest), whichever
     /// set it was loaded from.
     pub fn from_tuned_for(
         tuner: &WorkloadTuner,
-        backend: &dyn crate::backend::Backend,
-        tuned: &TunedWorkload,
-    ) -> TunedPlan {
-        Self::from_parts(tuner, backend.key(), backend.cache_salt(), tuned)
-    }
-
-    fn from_parts(
-        tuner: &WorkloadTuner,
-        backend: &str,
-        cache_salt: u64,
+        backend: &dyn Backend,
         tuned: &TunedWorkload,
     ) -> TunedPlan {
         let locals = tuner.decode(tuned.id);
@@ -200,8 +185,8 @@ impl TunedPlan {
                 .map(|(v, &n)| (v.name().to_string(), n))
                 .collect(),
             fingerprint: workload_fingerprint(&tuner.workload),
-            backend: backend.to_string(),
-            cache_salt,
+            backend: backend.key().to_string(),
+            cache_salt: backend.cache_salt(),
             arch_name: tuned.arch_name.clone(),
             id: tuned.id,
             choices,
@@ -727,27 +712,16 @@ impl TunedPlan {
         })
     }
 
-    /// Replays the plan against `workload`: validates the fingerprint and
-    /// (for v2 plans) the backend cache salt, re-maps the saved
+    /// Replays the plan against `workload`, resolving its backend in
+    /// `set` (runtime-loaded descriptors included): validates the
+    /// fingerprint and the backend cache salt, re-maps the saved
     /// configuration and re-times it through `cache` — no search. The
     /// deterministic simulator reproduces the saved `gpu_seconds`
     /// bit-for-bit; a mismatch (an edited plan, a changed model) is
     /// reported as a typed error rather than trusted.
-    pub fn replay_for(
-        &self,
-        workload: &Workload,
-        cache: &EvalCache,
-    ) -> Result<TunedWorkload, BarracudaError> {
-        self.replay_for_in(crate::backend::builtin_backends(), workload, cache)
-    }
-
-    /// [`TunedPlan::replay_for`] resolving the plan's backend against an
-    /// explicit [`BackendSet`] (runtime-loaded descriptors included).
-    ///
-    /// [`BackendSet`]: crate::backend::BackendSet
     pub fn replay_for_in(
         &self,
-        set: &crate::backend::BackendSet,
+        set: &BackendSet,
         workload: &Workload,
         cache: &EvalCache,
     ) -> Result<TunedWorkload, BarracudaError> {
@@ -756,28 +730,15 @@ impl TunedPlan {
         self.replay_built_in(set, workload, &tuner, cache)
     }
 
-    /// [`TunedPlan::replay_for`] with a pre-built tuner: skips the lowering
-    /// pass when the caller already holds the workload's
+    /// [`TunedPlan::replay_for_in`] with a pre-built tuner: skips the
+    /// lowering pass when the caller already holds the workload's
     /// [`WorkloadTuner`] — the serving daemon replays thousands of warm
     /// requests against one cached tuner. The caller must have built
     /// `tuner` from `workload` and validated the fingerprint (or accept
     /// the id-range check below as the only guard).
-    pub fn replay_built(
-        &self,
-        workload: &Workload,
-        tuner: &WorkloadTuner,
-        cache: &EvalCache,
-    ) -> Result<TunedWorkload, BarracudaError> {
-        self.replay_built_in(crate::backend::builtin_backends(), workload, tuner, cache)
-    }
-
-    /// [`TunedPlan::replay_built`] resolving the plan's backend against an
-    /// explicit [`BackendSet`].
-    ///
-    /// [`BackendSet`]: crate::backend::BackendSet
     pub fn replay_built_in(
         &self,
-        set: &crate::backend::BackendSet,
+        set: &BackendSet,
         workload: &Workload,
         tuner: &WorkloadTuner,
         cache: &EvalCache,
@@ -787,7 +748,10 @@ impl TunedPlan {
             workload: workload.name.clone(),
             detail: format!("unknown backend `{}` in plan", self.backend),
         })?;
-        if self.cache_salt != 0 && self.cache_salt != backend.cache_salt() {
+        // Only schema-1 plans predate the salt. A later plan whose salt is
+        // zero (hand-edited, or filed without its backend) must not replay
+        // against whatever revision of the backend is loaded now.
+        if self.schema_version >= 2 && self.cache_salt != backend.cache_salt() {
             return Err(BarracudaError::Plan {
                 workload: workload.name.clone(),
                 detail: format!(
@@ -912,10 +876,11 @@ impl TunedPlan {
         })
     }
 
-    /// [`TunedPlan::replay_for`] against the workload embedded in the plan.
+    /// [`TunedPlan::replay_for_in`] over the built-in backends, against
+    /// the workload embedded in the plan.
     pub fn replay(&self, cache: &EvalCache) -> Result<TunedWorkload, BarracudaError> {
         let w = self.workload()?;
-        self.replay_for(&w, cache)
+        self.replay_for_in(&BackendSet::builtin(), &w, cache)
     }
 }
 
@@ -938,7 +903,8 @@ mod tests {
         let w = matmul(n);
         let tuner = WorkloadTuner::build(&w);
         let tuned = tuner.autotune(&gpusim::k20(), TuneParams::quick()).unwrap();
-        let plan = TunedPlan::from_tuned(&tuner, "k20", &tuned);
+        let k20 = BackendSet::builtin().get("k20").unwrap().clone();
+        let plan = TunedPlan::from_tuned_for(&tuner, k20.as_ref(), &tuned);
         (tuner, plan)
     }
 
@@ -970,7 +936,7 @@ mod tests {
         let (_, plan) = tuned_plan(16);
         assert_eq!(plan.schema_version, 3);
         assert!(!plan.is_stale());
-        let expected = backend_by_key("k20").unwrap().cache_salt();
+        let expected = BackendSet::builtin().get("k20").unwrap().cache_salt();
         assert_eq!(plan.cache_salt, expected);
         assert_ne!(plan.cache_salt, 0);
         let p = &plan.provenance;
@@ -1082,7 +1048,9 @@ mod tests {
         let (_, plan) = tuned_plan(16);
         // Same statements, different extents: a stale plan.
         let other = matmul(32);
-        let err = plan.replay_for(&other, &EvalCache::new()).unwrap_err();
+        let err = plan
+            .replay_for_in(&BackendSet::builtin(), &other, &EvalCache::new())
+            .unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert_eq!(err.exit_code(), 10);
         assert!(err.to_string().contains("fingerprint"));
@@ -1096,6 +1064,23 @@ mod tests {
         assert_eq!(err.stage(), "plan");
         assert_eq!(err.exit_code(), 10);
         assert!(err.to_string().contains("salt"), "{err}");
+    }
+
+    #[test]
+    fn zeroed_cache_salt_is_a_typed_plan_error_past_schema_1() {
+        let (_, plan) = tuned_plan(16);
+        for schema in [2, 3] {
+            let mut zeroed = plan.clone();
+            zeroed.schema_version = schema;
+            zeroed.cache_salt = 0;
+            // The zero survives the file round trip and is still refused.
+            let back = TunedPlan::from_json_text(&zeroed.to_json_text()).unwrap();
+            assert_eq!(back.cache_salt, 0);
+            let err = back.replay(&EvalCache::new()).unwrap_err();
+            assert_eq!(err.stage(), "plan", "schema {schema}");
+            assert_eq!(err.exit_code(), 10, "schema {schema}");
+            assert!(err.to_string().contains("salt"), "{err}");
+        }
     }
 
     #[test]

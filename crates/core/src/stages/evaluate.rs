@@ -211,21 +211,69 @@ pub fn transfer_seconds(workload: &Workload, arch: &GpuArch) -> f64 {
     workload.transfer_bytes() as f64 / (arch.pcie_bw_gbs * 1e9) + 2.0 * arch.pcie_latency_us * 1e-6
 }
 
+/// The deterministic measurement noise the search observes, keyed by
+/// configuration id (never by evaluation order).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Noise {
+    /// Relative run-to-run noise.
+    pub(crate) rel: f64,
+    /// Absolute launch/measurement jitter in microseconds.
+    pub(crate) floor_us: f64,
+    pub(crate) seed: u64,
+}
+
+impl Noise {
+    /// `t` as the search measures it: a relative component plus absolute
+    /// jitter that dominates for microsecond-scale kernels.
+    fn apply(&self, id: u128, t: f64) -> f64 {
+        let rel = self.rel + self.floor_us * 1e-6 / t;
+        t * (1.0 + rel * noise_unit(id as u64 ^ self.seed))
+    }
+}
+
+/// Memoized noiseless time of `id` under `salt`, with typed failure.
+/// `compute` runs on a cache miss; its failure is memoized as a cached
+/// `NaN` sentinel, so re-asking about a quarantined configuration costs
+/// one cache hit, not a re-simulation. A cached sentinel (or any
+/// non-finite or non-positive time) comes back as a `simulation` fault.
+fn checked_time(
+    cache: &EvalCache,
+    salt: u64,
+    id: u128,
+    compute: impl FnOnce() -> Result<f64, EvalFault>,
+) -> Result<f64, EvalFault> {
+    let mut fault = None;
+    let t = cache.time(salt, id, || {
+        compute().unwrap_or_else(|f| {
+            fault = Some(f);
+            f64::NAN
+        })
+    });
+    if let Some(f) = fault {
+        return Err(f);
+    }
+    if !t.is_finite() || t <= 0.0 {
+        return Err(EvalFault::new(
+            "simulation",
+            format!("non-finite or non-positive simulated time {t} for config {id}"),
+        ));
+    }
+    Ok(t)
+}
+
 /// Thread-safe joint-configuration evaluator: memoized simulated times and
 /// features from a shared [`EvalCache`], plus the deterministic measurement
 /// noise SURF observes. Implements [`surf::ParallelEvaluator`], so one
-/// instance serves both the serial and the parallel search backends —
-/// noise is keyed by configuration id, never by evaluation order, which is
-/// what keeps parallel runs bit-identical to serial ones.
+/// instance serves both the serial and the parallel search — noise is
+/// keyed by configuration id, never by evaluation order, which is what
+/// keeps parallel runs bit-identical to serial ones.
 pub struct TunerEvaluator<'a> {
     workload: &'a Workload,
     statements: &'a [StatementTuner],
     arch: &'a GpuArch,
     cache: &'a EvalCache,
     salt: u64,
-    eval_noise: f64,
-    noise_floor_us: f64,
-    noise_seed: u64,
+    noise: Noise,
 }
 
 impl<'a> TunerEvaluator<'a> {
@@ -247,9 +295,11 @@ impl<'a> TunerEvaluator<'a> {
             arch,
             cache,
             salt: salt_of(&arch.name),
-            eval_noise,
-            noise_floor_us,
-            noise_seed,
+            noise: Noise {
+                rel: eval_noise,
+                floor_us: noise_floor_us,
+                seed: noise_seed,
+            },
         }
     }
 
@@ -260,39 +310,13 @@ impl<'a> TunerEvaluator<'a> {
         self.try_time(id).unwrap_or(f64::NAN)
     }
 
-    /// Noiseless memoized simulated time, with typed failure. Failures are
-    /// memoized as a cached `NaN` sentinel: re-asking about a quarantined
-    /// configuration costs one cache hit, not a re-simulation.
+    /// Noiseless memoized simulated time, with typed failure (see
+    /// `checked_time` for the memoization of failures).
     pub fn try_time(&self, id: u128) -> Result<f64, EvalFault> {
-        let mut fault = None;
-        let t = self.cache.time(self.salt, id, || {
-            match joint_gpu_seconds_memo(self.workload, self.statements, id, self.arch, self.cache)
-            {
-                Ok(t) => t,
-                Err(e) => {
-                    fault = Some(EvalFault::new(e.stage(), e.to_string()));
-                    f64::NAN
-                }
-            }
-        });
-        if let Some(f) = fault {
-            return Err(f);
-        }
-        if !t.is_finite() || t <= 0.0 {
-            return Err(EvalFault::new(
-                "simulation",
-                format!("non-finite or non-positive simulated time {t} for config {id}"),
-            ));
-        }
-        Ok(t)
-    }
-
-    /// Applies the deterministic measurement noise the search observes.
-    fn noisy(&self, id: u128, t: f64) -> f64 {
-        // A relative component plus absolute launch/measurement jitter that
-        // dominates for microsecond-scale kernels.
-        let rel = self.eval_noise + self.noise_floor_us * 1e-6 / t;
-        t * (1.0 + rel * noise_unit(id as u64 ^ self.noise_seed))
+        checked_time(self.cache, self.salt, id, || {
+            joint_gpu_seconds_memo(self.workload, self.statements, id, self.arch, self.cache)
+                .map_err(|e| EvalFault::new(e.stage(), e.to_string()))
+        })
     }
 }
 
@@ -304,14 +328,11 @@ impl ParallelEvaluator for TunerEvaluator<'_> {
     }
 
     fn evaluate(&self, id: u128) -> f64 {
-        match self.try_time(id) {
-            Ok(t) => self.noisy(id, t),
-            Err(_) => f64::NAN,
-        }
+        self.try_evaluate(id).unwrap_or(f64::NAN)
     }
 
     fn try_evaluate(&self, id: u128) -> Result<f64, EvalFault> {
-        self.try_time(id).map(|t| self.noisy(id, t))
+        self.try_time(id).map(|t| self.noise.apply(id, t))
     }
 }
 
@@ -369,9 +390,7 @@ pub(crate) struct StatementEvaluator<'a> {
     pub(crate) salt: u64,
     /// Per-op memo salt (per-architecture, shared with joint tuning).
     pub(crate) op_salt: u64,
-    pub(crate) eval_noise: f64,
-    pub(crate) noise_floor_us: f64,
-    pub(crate) noise_seed: u64,
+    pub(crate) noise: Noise,
 }
 
 impl StatementEvaluator<'_> {
@@ -379,12 +398,10 @@ impl StatementEvaluator<'_> {
         self.try_time(local).unwrap_or(f64::NAN)
     }
 
-    /// Statement-local analog of [`TunerEvaluator::try_time`], with the
-    /// same cached-NaN memoization of failures, built on the shared per-op
-    /// memo layer.
+    /// Statement-local analog of [`TunerEvaluator::try_time`], built on
+    /// the shared per-op memo layer.
     fn try_time(&self, local: u128) -> Result<f64, EvalFault> {
-        let mut fault = None;
-        let t = self.cache.time(self.salt, local, || {
+        checked_time(self.cache, self.salt, local, || {
             let t0 = Instant::now();
             let (v, local_cfg) = self.st.decode_raw(local);
             let mut choices = Vec::new();
@@ -392,7 +409,7 @@ impl StatementEvaluator<'_> {
                 .space
                 .choices_into(local_cfg, &mut choices);
             self.cache.hot().add_decode(t0.elapsed().as_nanos() as u64);
-            match statement_time_memo(
+            statement_time_memo(
                 self.st,
                 self.stmt,
                 v,
@@ -401,33 +418,12 @@ impl StatementEvaluator<'_> {
                 self.arch,
                 self.cache,
                 self.op_salt,
-            ) {
-                Ok(t) => t,
-                Err(StatementFault::Mapping { detail, .. }) => {
-                    fault = Some(EvalFault::new("mapping", detail));
-                    f64::NAN
-                }
-                Err(StatementFault::Simulation { detail }) => {
-                    fault = Some(EvalFault::new("simulation", detail));
-                    f64::NAN
-                }
-            }
-        });
-        if let Some(f) = fault {
-            return Err(f);
-        }
-        if !t.is_finite() || t <= 0.0 {
-            return Err(EvalFault::new(
-                "simulation",
-                format!("non-finite or non-positive simulated time {t} for config {local}"),
-            ));
-        }
-        Ok(t)
-    }
-
-    fn noisy(&self, local: u128, t: f64) -> f64 {
-        let rel = self.eval_noise + self.noise_floor_us * 1e-6 / t;
-        t * (1.0 + rel * noise_unit(local as u64 ^ self.noise_seed))
+            )
+            .map_err(|fault| match fault {
+                StatementFault::Mapping { detail, .. } => EvalFault::new("mapping", detail),
+                StatementFault::Simulation { detail } => EvalFault::new("simulation", detail),
+            })
+        })
     }
 }
 
@@ -438,14 +434,11 @@ impl ParallelEvaluator for StatementEvaluator<'_> {
     }
 
     fn evaluate(&self, local: u128) -> f64 {
-        match self.try_time(local) {
-            Ok(t) => self.noisy(local, t),
-            Err(_) => f64::NAN,
-        }
+        self.try_evaluate(local).unwrap_or(f64::NAN)
     }
 
     fn try_evaluate(&self, local: u128) -> Result<f64, EvalFault> {
-        self.try_time(local).map(|t| self.noisy(local, t))
+        self.try_time(local).map(|t| self.noise.apply(local, t))
     }
 }
 

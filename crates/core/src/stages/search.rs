@@ -11,7 +11,9 @@ use crate::cache::{EvalCache, HotPathSnapshot};
 use crate::error::BarracudaError;
 use crate::objective::{BudgetMode, Objective};
 use crate::quarantine::QuarantineReport;
-use crate::stages::evaluate::{salt_of, ObjectiveEvaluator, StatementEvaluator, TunerEvaluator};
+use crate::stages::evaluate::{
+    salt_of, Noise, ObjectiveEvaluator, StatementEvaluator, TunerEvaluator,
+};
 use crate::stages::{evaluate, lower, space};
 use crate::variant::StatementTuner;
 use crate::workload::Workload;
@@ -77,8 +79,8 @@ pub struct TuneParams {
 }
 
 impl TuneParams {
-    /// Paper-scale settings: batch 10, generous eval budget with the
-    /// model-confidence stop (flat landscapes run long, §VI-A).
+    /// Paper-scale settings: batch 10, generous eval budget with a
+    /// patience stop (flat landscapes run long, §VI-A).
     pub fn paper() -> Self {
         TuneParams {
             surf: SurfParams {
@@ -89,7 +91,6 @@ impl TuneParams {
                 // landscapes keep producing small records and run long.
                 patience: Some(8),
                 min_improvement: 0.01,
-                unpromising_stop: None,
                 seed: 0xBA22,
                 wall_deadline_s: None,
                 min_survivor_fraction: 0.0,
@@ -123,7 +124,6 @@ impl TuneParams {
                 max_evals: 40,
                 patience: None,
                 min_improvement: 0.01,
-                unpromising_stop: None,
                 seed: 0xBA22,
                 wall_deadline_s: None,
                 min_survivor_fraction: 0.0,
@@ -164,7 +164,7 @@ impl TuneParams {
 }
 
 /// Search bookkeeping of one autotuning run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SearchStats {
     pub n_evals: usize,
     pub batches: usize,
@@ -179,7 +179,7 @@ pub struct SearchStats {
     pub cache_misses: usize,
     /// Wall-clock seconds spent inside the SURF search.
     pub wall_s: f64,
-    /// Threads the evaluation backend used (1 = serial).
+    /// Threads the evaluation ran on (1 = serial).
     pub threads: usize,
     /// OCTOPI versions quarantined at build time (lowering failures).
     pub quarantined_versions: usize,
@@ -270,20 +270,199 @@ impl SearchStats {
     }
 }
 
-/// Dispatches to the serial or parallel SURF backend per
-/// [`TuneParams::threads`]; both run the same driver over the same
+/// Runs SURF over `pool`: `evaluator` scored under the run's objective
+/// (`memory` gives a candidate's modeled `(peak, rw)` bytes) and wrapped
+/// in the run's injected faults. [`TuneParams::threads`] picks the serial
+/// or the parallel entry point; both run the same driver over the same
 /// evaluator (including its typed-fault path), so the choice never changes
 /// the result — including which configurations get quarantined and why.
-fn search_with<E: ParallelEvaluator>(
+fn run_surf<E: ParallelEvaluator>(
     pool: &[u128],
     evaluator: &E,
+    memory: impl Fn(u128) -> (u64, u64) + Sync,
+    params: &TuneParams,
     surf_params: SurfParams,
-    threads: usize,
 ) -> Result<SurfResult, surf::SearchError> {
-    if threads == 1 {
-        surf_search_serial(pool, evaluator, surf_params)
+    let scored = ObjectiveEvaluator {
+        inner: evaluator,
+        objective: params.objective,
+        memory,
+    };
+    let plan = params.fault_injection.unwrap_or_else(FaultPlan::none);
+    let faulty = FaultyEvaluator::new(&scored, plan);
+    if params.threads == 1 {
+        surf_search_serial(pool, &faulty, surf_params)
     } else {
-        surf_search_parallel(pool, evaluator, surf_params)
+        surf_search_parallel(pool, &faulty, surf_params)
+    }
+}
+
+/// The final noiseless pick over everything a search evaluated. The search
+/// observed noisy measurements; the pick re-measures carefully (the
+/// paper's final numbers are 100-rep averages): one memo lookup of each
+/// candidate's noiseless `time` — the search already simulated them all —
+/// then the best objective score wins. Under the default objective the
+/// score is the raw time, bit for bit. A candidate over the memory budget
+/// is never selected, in either budget mode; the finite filter keeps even
+/// a stray NaN from poisoning the pick; ties keep the earlier candidate,
+/// matching `min_by`. Returns the pick (`None` when nothing qualifies) and
+/// every looked-up time in evaluation order.
+fn noiseless_pick(
+    evaluated: &[(u128, f64)],
+    objective: &Objective,
+    time: impl Fn(u128) -> f64,
+    memory: impl Fn(u128) -> (u64, u64),
+) -> (Option<u128>, Vec<f64>) {
+    let mut best: Option<(u128, f64)> = None;
+    let mut times = Vec::with_capacity(evaluated.len());
+    for &(cand, _) in evaluated {
+        let t = time(cand);
+        times.push(t);
+        let s = if objective.is_time_only() {
+            t
+        } else {
+            let (peak, rw) = memory(cand);
+            if objective.over_budget(peak) {
+                continue;
+            }
+            objective.score(t, peak, rw)
+        };
+        if s.is_finite() && best.is_none_or(|(_, bs)| s < bs) {
+            best = Some((cand, s));
+        }
+    }
+    (best.map(|(id, _)| id), times)
+}
+
+/// Distinct `(statement, version)` pairs whose modeled peak exceeds the
+/// objective's memory budget (0 without a budget). The joint peak is the
+/// max over statements, so a version over budget in isolation is over
+/// budget in any joint configuration.
+fn versions_over_budget(objective: &Objective, mem_table: &[Vec<(u64, u64)>]) -> usize {
+    objective.mem_budget.map_or(0, |budget| {
+        mem_table
+            .iter()
+            .flatten()
+            .filter(|&&(peak, _)| peak > budget)
+            .count()
+    })
+}
+
+/// Memo-cache counters of an [`EvalCache`], read at the start of a run so
+/// its statistics report only the traffic the run caused.
+struct CacheCounters {
+    /// Times + features combined.
+    all: (usize, usize),
+    time: (usize, usize),
+    op: (usize, usize),
+    hot: HotPathSnapshot,
+}
+
+impl CacheCounters {
+    fn read(cache: &EvalCache) -> Self {
+        CacheCounters {
+            all: cache.stats(),
+            time: cache.time_stats(),
+            op: cache.op_stats(),
+            hot: cache.hot().snapshot(),
+        }
+    }
+
+    /// Records into `stats` the hits, misses and hot-path times `cache`
+    /// has seen since `self` was read. SURF's own prediction time, which
+    /// the cache does not see, is kept.
+    fn record_since(&self, cache: &EvalCache, stats: &mut SearchStats) {
+        let now = CacheCounters::read(cache);
+        (stats.cache_hits, stats.cache_misses) = (now.all.0 - self.all.0, now.all.1 - self.all.1);
+        (stats.time_hits, stats.time_misses) = (now.time.0 - self.time.0, now.time.1 - self.time.1);
+        (stats.per_op_hits, stats.per_op_misses) = (now.op.0 - self.op.0, now.op.1 - self.op.1);
+        stats.hot = HotPathSnapshot {
+            predict_ns: stats.hot.predict_ns,
+            ..now.hot.delta(&self.hot)
+        };
+    }
+}
+
+/// What the SURF runs of one tune add up to — one run for joint tuning,
+/// one per statement for decomposed tuning.
+struct SearchRun {
+    stats: SearchStats,
+    status: SearchStatus,
+    quarantine: QuarantineReport,
+}
+
+impl SearchRun {
+    fn new(statements: &[StatementTuner], versions_over_budget: usize) -> Self {
+        SearchRun {
+            stats: SearchStats {
+                threads: 1,
+                versions_over_budget,
+                ..SearchStats::default()
+            },
+            status: SearchStatus::Complete,
+            quarantine: lower::build_quarantine(statements),
+        }
+    }
+
+    /// Folds one SURF result in; its quarantined configurations are
+    /// recorded against `statement` (`None`: a joint id).
+    fn add(&mut self, result: &SurfResult, statement: Option<usize>) {
+        let s = &mut self.stats;
+        s.n_evals += result.n_evals();
+        s.batches += result.batches;
+        s.wall_s += result.wall_s;
+        s.threads = s.threads.max(result.threads);
+        s.hot.predict_ns += result.predict_ns;
+        s.duplicate_candidates += result.duplicates_pruned;
+        for (cid, reason) in &result.quarantined {
+            self.quarantine
+                .record_config(statement, *cid, reason.clone());
+        }
+    }
+
+    /// The result artifact for the picked joint configuration `id`: its
+    /// per-statement choices, mapped kernels, noiseless model time and
+    /// modeled memory, plus this run's statistics.
+    fn finish(
+        mut self,
+        workload: &Workload,
+        statements: &[StatementTuner],
+        arch: &GpuArch,
+        mem_table: &[Vec<(u64, u64)>],
+        objective: Objective,
+        id: u128,
+    ) -> Result<TunedWorkload, BarracudaError> {
+        let locals = lower::decode_joint(statements, id);
+        let mut choices = Vec::new();
+        let mut programs = Vec::new();
+        for (s, &local) in statements.iter().zip(&locals) {
+            let (v, config) = s.decode(local);
+            programs.push(s.variants[v].program.clone());
+            choices.push((v, config));
+        }
+        let kernels = lower::map_joint(workload, statements, id)?;
+        // Report the noiseless model time of the chosen configuration.
+        let gpu_seconds = evaluate::joint_gpu_seconds(workload, statements, id, arch)?;
+        let s = &mut self.stats;
+        s.space_size = lower::total_space(statements);
+        s.quarantined_versions = self.quarantine.versions();
+        s.quarantined_configs = self.quarantine.configs();
+        (s.peak_temp_bytes, s.rw_bytes) = lower::joint_memory_from_table(statements, mem_table, id);
+        Ok(TunedWorkload {
+            name: workload.name.clone(),
+            arch_name: arch.name.to_string(),
+            id,
+            choices,
+            programs,
+            kernels,
+            gpu_seconds,
+            transfer_seconds: evaluate::transfer_seconds(workload, arch),
+            flops: lower::joint_flops(statements, id),
+            search: self.stats,
+            objective,
+            status: self.status,
+            quarantine: self.quarantine,
+        })
     }
 }
 
@@ -437,26 +616,21 @@ pub fn autotune_joint(
     let objective = params.objective;
     let mem_table = lower::version_memory_table(statements);
     let memory = |id: u128| lower::joint_memory_from_table(statements, &mem_table, id);
+    let mut run = SearchRun::new(statements, versions_over_budget(&objective, &mem_table));
     let mut pool = space::joint_pool(statements, params.pool_cap, params.seed);
-    let mut pruned_by_memory = 0usize;
-    let mut versions_over_budget = 0usize;
     if let Some(budget) = objective.mem_budget {
-        versions_over_budget = mem_table
-            .iter()
-            .flatten()
-            .filter(|&&(peak, _)| peak > budget)
-            .count();
         if objective.budget_mode == BudgetMode::Prune {
             let before = pool.len();
             pool.retain(|&id| memory(id).0 <= budget);
-            pruned_by_memory = before - pool.len();
+            run.stats.pruned_by_memory = before - pool.len();
             if pool.is_empty() {
                 return Err(BarracudaError::Search {
                     workload: workload.name.clone(),
                     detail: format!(
                         "memory budget {budget} B excludes every candidate \
-                         ({versions_over_budget} over-budget versions, {pruned_by_memory} \
-                         configurations pruned) — raise the budget or use penalize mode"
+                         ({} over-budget versions, {} configurations pruned) — raise the \
+                         budget or use penalize mode",
+                        run.stats.versions_over_budget, run.stats.pruned_by_memory
                     ),
                 });
             }
@@ -471,37 +645,26 @@ pub fn autotune_joint(
         params.noise_floor_us,
         params.seed,
     );
-    let scored = ObjectiveEvaluator {
-        inner: &evaluator,
-        objective,
-        memory,
-    };
-    let faulty = FaultyEvaluator::new(
-        &scored,
-        params.fault_injection.unwrap_or_else(FaultPlan::none),
-    );
-    let (hits0, misses0) = cache.stats();
-    let (th0, tm0) = cache.time_stats();
-    let (oh0, om0) = cache.op_stats();
-    let hot0 = cache.hot().snapshot();
+    let start = CacheCounters::read(cache);
     let result =
-        search_with(&pool, &faulty, params.effective_surf(), params.threads).map_err(|e| {
+        run_surf(&pool, &evaluator, memory, &params, params.effective_surf()).map_err(|e| {
             BarracudaError::Search {
                 workload: workload.name.clone(),
                 detail: e.to_string(),
             }
         })?;
-    let (hits1, misses1) = cache.stats();
-    let (th1, tm1) = cache.time_stats();
-    let (oh1, om1) = cache.op_stats();
-    let mut hot = cache.hot().snapshot().delta(&hot0);
-    hot.predict_ns = result.predict_ns;
+    // Counted before the pick: the joint path reports the search's own
+    // cache traffic.
+    start.record_since(cache, &mut run.stats);
+    run.add(&result, None);
+    run.stats.pool_size = pool.len();
+    run.stats.evaluated_times = result.evaluated.iter().map(|(_, t)| *t).collect();
+    run.status = result.status.clone();
     // An external attempt cap that actually truncated the search is an
     // explicit degradation, not a silent completion.
-    let mut status = result.status.clone();
     if let Some(cap) = params.max_evaluations {
-        if !status.is_degraded() && cap < params.surf.max_evals && result.n_attempted() >= cap {
-            status = SearchStatus::Degraded {
+        if !run.status.is_degraded() && cap < params.surf.max_evals && result.n_attempted() >= cap {
+            run.status = SearchStatus::Degraded {
                 reason: format!(
                     "evaluation budget exhausted after {} attempts (cap {cap})",
                     result.n_attempted()
@@ -509,37 +672,12 @@ pub fn autotune_joint(
             };
         }
     }
-
-    // The search observed noisy measurements; the final pick re-measures
-    // carefully: choose the best *noiseless* objective score among
-    // everything the search evaluated (the paper's final numbers are
-    // 100-rep averages; under the default objective the score is the raw
-    // time, bit for bit). One cache hit per candidate — the search already
-    // simulated them all, and each id's time is looked up exactly once.
-    // First minimal wins ties, matching `min_by`; quarantined ids never
-    // reach `evaluated`, the finite filter keeps even a stray NaN from
-    // poisoning the pick, and a candidate over the memory budget is never
-    // selected, in either budget mode.
-    let mut best: Option<(u128, f64)> = None;
-    for &(cand, _) in &result.evaluated {
-        let t = evaluator.time(cand);
-        let s = if objective.is_time_only() {
-            t
-        } else {
-            let (peak, rw) = memory(cand);
-            if objective.over_budget(peak) {
-                continue;
-            }
-            objective.score(t, peak, rw)
-        };
-        let better = match best {
-            None => true,
-            Some((_, bs)) => s < bs,
-        };
-        if s.is_finite() && better {
-            best = Some((cand, s));
-        }
-    }
+    let (best, _) = noiseless_pick(
+        &result.evaluated,
+        &objective,
+        |id| evaluator.time(id),
+        memory,
+    );
     if best.is_none() && objective.mem_budget.is_some() {
         // Penalize mode lets over-budget candidates into the pool (their
         // evaluations still train the surrogate), but the pick must never
@@ -548,67 +686,14 @@ pub fn autotune_joint(
             workload: workload.name.clone(),
             detail: format!(
                 "every surviving candidate exceeds the memory budget {} B \
-                 ({versions_over_budget} over-budget versions)",
-                objective.mem_budget.unwrap_or(0)
+                 ({} over-budget versions)",
+                objective.mem_budget.unwrap_or(0),
+                run.stats.versions_over_budget
             ),
         });
     }
-    let id = best.map_or(result.best_id, |(id, _)| id);
-    let locals = lower::decode_joint(statements, id);
-    let mut choices = Vec::new();
-    let mut programs = Vec::new();
-    for (s, &local) in statements.iter().zip(&locals) {
-        let (v, config) = s.decode(local);
-        programs.push(s.variants[v].program.clone());
-        choices.push((v, config));
-    }
-    let kernels = lower::map_joint(workload, statements, id)?;
-    let mut quarantine = lower::build_quarantine(statements);
-    for (cid, reason) in &result.quarantined {
-        quarantine.record_config(None, *cid, reason.clone());
-    }
-    // Report the noiseless model time of the chosen configuration.
-    let gpu_seconds = evaluate::joint_gpu_seconds(workload, statements, id, arch)?;
-    let transfer_seconds = evaluate::transfer_seconds(workload, arch);
-    let flops = lower::joint_flops(statements, id);
-    let (peak_temp_bytes, rw_bytes) = memory(id);
-    Ok(TunedWorkload {
-        name: workload.name.clone(),
-        arch_name: arch.name.to_string(),
-        id,
-        choices,
-        programs,
-        kernels,
-        gpu_seconds,
-        transfer_seconds,
-        flops,
-        search: SearchStats {
-            n_evals: result.n_evals(),
-            batches: result.batches,
-            evaluated_times: result.evaluated.iter().map(|(_, t)| *t).collect(),
-            space_size: lower::total_space(statements),
-            pool_size: pool.len(),
-            cache_hits: hits1 - hits0,
-            cache_misses: misses1 - misses0,
-            wall_s: result.wall_s,
-            threads: result.threads,
-            quarantined_versions: quarantine.versions(),
-            quarantined_configs: quarantine.configs(),
-            per_op_hits: oh1 - oh0,
-            per_op_misses: om1 - om0,
-            time_hits: th1 - th0,
-            time_misses: tm1 - tm0,
-            duplicate_candidates: result.duplicates_pruned,
-            pruned_by_memory,
-            versions_over_budget,
-            peak_temp_bytes,
-            rw_bytes,
-            hot,
-        },
-        objective,
-        status,
-        quarantine,
-    })
+    let id = best.unwrap_or(result.best_id);
+    run.finish(workload, statements, arch, &mem_table, objective, id)
 }
 
 /// Decomposed tuning: each statement is searched *independently* (the
@@ -632,35 +717,12 @@ pub fn autotune_decomposed(
 ) -> Result<TunedWorkload, BarracudaError> {
     let objective = params.objective;
     let mem_table = lower::version_memory_table(statements);
-    // Distinct over-budget versions across all statements, counted once up
-    // front (the joint peak is the max over statements, so a version over
-    // budget in isolation is over budget in any joint configuration).
-    let mut versions_over_budget = 0usize;
-    if let Some(budget) = objective.mem_budget {
-        versions_over_budget = mem_table
-            .iter()
-            .flatten()
-            .filter(|&&(peak, _)| peak > budget)
-            .count();
-    }
-    let mut pruned_by_memory = 0usize;
+    let mut run = SearchRun::new(statements, versions_over_budget(&objective, &mem_table));
     let mut locals: Vec<u128> = Vec::with_capacity(statements.len());
-    let mut n_evals = 0;
-    let mut batches = 0;
-    let mut evaluated_times = Vec::new();
-    let mut wall_s = 0.0;
-    let mut threads = 1;
-    let mut predict_ns = 0u64;
-    let mut duplicate_candidates = 0usize;
-    let mut quarantine = lower::build_quarantine(statements);
-    let mut status = SearchStatus::Complete;
     let mut remaining = params.max_evaluations;
     let mut attempted_total = 0usize;
-    let start = Instant::now();
-    let (hits0, misses0) = cache.stats();
-    let (th0, tm0) = cache.time_stats();
-    let (oh0, om0) = cache.op_stats();
-    let hot0 = cache.hot().snapshot();
+    let start_time = Instant::now();
+    let start = CacheCounters::read(cache);
     for (k, st) in statements.iter().enumerate() {
         // Pool over this statement's own space.
         let mut pool = space::statement_pool(st, params.pool_cap, params.seed ^ k as u64);
@@ -675,14 +737,15 @@ pub fn autotune_decomposed(
             if objective.budget_mode == BudgetMode::Prune {
                 let before = pool.len();
                 pool.retain(|&local| st_memory(local).0 <= budget);
-                pruned_by_memory += before - pool.len();
+                run.stats.pruned_by_memory += before - pool.len();
                 if pool.is_empty() {
                     return Err(BarracudaError::Search {
                         workload: workload.name.clone(),
                         detail: format!(
                             "statement {k}: memory budget {budget} B excludes every \
-                             candidate ({versions_over_budget} over-budget versions) — \
-                             raise the budget or use penalize mode"
+                             candidate ({} over-budget versions) — raise the budget or use \
+                             penalize mode",
+                            run.stats.versions_over_budget
                         ),
                     });
                 }
@@ -696,28 +759,21 @@ pub fn autotune_decomposed(
             cache,
             salt: salt_of(&arch.name) ^ (k as u64 + 1),
             op_salt: salt_of(&arch.name),
-            eval_noise: params.eval_noise,
-            noise_floor_us: params.noise_floor_us,
-            noise_seed: params.seed ^ k as u64,
+            noise: Noise {
+                rel: params.eval_noise,
+                floor_us: params.noise_floor_us,
+                seed: params.seed ^ k as u64,
+            },
         };
-        let scored = ObjectiveEvaluator {
-            inner: &evaluator,
-            objective,
-            memory: st_memory,
-        };
-        let faulty = FaultyEvaluator::new(
-            &scored,
-            params.fault_injection.unwrap_or_else(FaultPlan::none),
-        );
         // This statement's share of the run-wide budget/deadline.
         let mut sp = params.effective_surf();
         if let Some(rem) = remaining {
             sp.max_evals = sp.max_evals.min(rem.max(1));
         }
         if let Some(d) = params.wall_deadline_s {
-            sp.wall_deadline_s = Some((d - start.elapsed().as_secs_f64()).max(0.0));
+            sp.wall_deadline_s = Some((d - start_time.elapsed().as_secs_f64()).max(0.0));
         }
-        let result = search_with(&pool, &faulty, sp, params.threads).map_err(|e| {
+        let result = run_surf(&pool, &evaluator, st_memory, &params, sp).map_err(|e| {
             BarracudaError::Search {
                 workload: workload.name.clone(),
                 detail: format!("statement {k}: {e}"),
@@ -728,121 +784,45 @@ pub fn autotune_decomposed(
         }
         attempted_total += result.n_attempted();
         if let (SearchStatus::Complete, SearchStatus::Degraded { reason }) =
-            (&status, &result.status)
+            (&run.status, &result.status)
         {
-            status = SearchStatus::Degraded {
+            run.status = SearchStatus::Degraded {
                 reason: format!("statement {k}: {reason}"),
             };
         }
-        for (cid, reason) in &result.quarantined {
-            quarantine.record_config(Some(k), *cid, reason.clone());
-        }
-        // Final noiseless pick and the evaluated-times record in one
-        // pass: each id's time is looked up exactly once (first minimal
-        // wins ties, matching `min_by`). Under a memory budget an
-        // over-budget candidate is recorded but never selected.
-        let mut best: Option<(u128, f64)> = None;
-        evaluated_times.reserve(result.evaluated.len());
-        for &(cand, _) in &result.evaluated {
-            let t = evaluator.time(cand);
-            evaluated_times.push(t);
-            let s = if objective.is_time_only() {
-                t
-            } else {
-                let (peak, rw) = st_memory(cand);
-                if objective.over_budget(peak) {
-                    continue;
-                }
-                objective.score(t, peak, rw)
-            };
-            let better = match best {
-                None => true,
-                Some((_, bs)) => s < bs,
-            };
-            if s.is_finite() && better {
-                best = Some((cand, s));
-            }
-        }
+        run.add(&result, Some(k));
+        // The decomposed path records the noiseless times of the pick.
+        let (best, times) = noiseless_pick(
+            &result.evaluated,
+            &objective,
+            |local| evaluator.time(local),
+            st_memory,
+        );
+        run.stats.evaluated_times.extend(times);
         if best.is_none() && objective.mem_budget.is_some() {
             return Err(BarracudaError::Search {
                 workload: workload.name.clone(),
                 detail: format!(
                     "statement {k}: every surviving candidate exceeds the memory \
-                     budget {} B ({versions_over_budget} over-budget versions)",
-                    objective.mem_budget.unwrap_or(0)
+                     budget {} B ({} over-budget versions)",
+                    objective.mem_budget.unwrap_or(0),
+                    run.stats.versions_over_budget
                 ),
             });
         }
-        let best = best.map_or(result.best_id, |(id, _)| id);
-        n_evals += result.n_evals();
-        batches += result.batches;
-        wall_s += result.wall_s;
-        threads = threads.max(result.threads);
-        predict_ns += result.predict_ns;
-        duplicate_candidates += result.duplicates_pruned;
-        locals.push(best);
+        locals.push(best.unwrap_or(result.best_id));
     }
-    let (hits1, misses1) = cache.stats();
-    let (th1, tm1) = cache.time_stats();
-    let (oh1, om1) = cache.op_stats();
-    let mut hot = cache.hot().snapshot().delta(&hot0);
-    hot.predict_ns = predict_ns;
+    start.record_since(cache, &mut run.stats);
     // The shared attempt budget ran dry: an explicit degradation.
     if let Some(cap) = params.max_evaluations {
-        if !status.is_degraded() && attempted_total >= cap {
-            status = SearchStatus::Degraded {
+        if !run.status.is_degraded() && attempted_total >= cap {
+            run.status = SearchStatus::Degraded {
                 reason: format!(
                     "shared evaluation budget exhausted after {attempted_total} attempts (cap {cap})"
                 ),
             };
         }
     }
-    // Re-encode as a joint id and assemble the result.
     let id = lower::encode_joint(statements, &locals);
-    let (peak_temp_bytes, rw_bytes) = lower::joint_memory_from_table(statements, &mem_table, id);
-    let mut choices = Vec::new();
-    let mut programs = Vec::new();
-    for (st, &local) in statements.iter().zip(&locals) {
-        let (v, config) = st.decode(local);
-        programs.push(st.variants[v].program.clone());
-        choices.push((v, config));
-    }
-    let kernels = lower::map_joint(workload, statements, id)?;
-    Ok(TunedWorkload {
-        name: workload.name.clone(),
-        arch_name: arch.name.to_string(),
-        id,
-        choices,
-        programs,
-        kernels,
-        gpu_seconds: evaluate::joint_gpu_seconds(workload, statements, id, arch)?,
-        transfer_seconds: evaluate::transfer_seconds(workload, arch),
-        flops: lower::joint_flops(statements, id),
-        search: SearchStats {
-            n_evals,
-            batches,
-            evaluated_times,
-            space_size: lower::total_space(statements),
-            pool_size: 0,
-            cache_hits: hits1 - hits0,
-            cache_misses: misses1 - misses0,
-            wall_s,
-            threads,
-            quarantined_versions: quarantine.versions(),
-            quarantined_configs: quarantine.configs(),
-            per_op_hits: oh1 - oh0,
-            per_op_misses: om1 - om0,
-            time_hits: th1 - th0,
-            time_misses: tm1 - tm0,
-            duplicate_candidates,
-            pruned_by_memory,
-            versions_over_budget,
-            peak_temp_bytes,
-            rw_bytes,
-            hot,
-        },
-        objective,
-        status,
-        quarantine,
-    })
+    run.finish(workload, statements, arch, &mem_table, objective, id)
 }

@@ -621,7 +621,8 @@ mod tests {
         .unwrap();
         let tuner = WorkloadTuner::build(&w);
         let tuned = tuner.autotune(&gpusim::k20(), TuneParams::quick()).unwrap();
-        TunedPlan::from_tuned(&tuner, "k20", &tuned)
+        let k20 = crate::BackendSet::builtin().get("k20").unwrap().clone();
+        TunedPlan::from_tuned_for(&tuner, k20.as_ref(), &tuned)
     }
 
     #[test]
@@ -707,6 +708,20 @@ mod tests {
         assert_eq!(removed, scan.corrupt);
         assert_eq!(store.scan().unwrap().corrupt.len(), 0);
         assert_eq!(store.entries().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn deeply_nested_entry_is_quarantined_as_a_miss() {
+        let store = temp_store("deep");
+        let plan = tuned_plan();
+        let path = store.insert(&plan).unwrap();
+        std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+        // The parser's depth cap turns the entry into a decode failure:
+        // quarantined and read as a miss, never a stack overflow.
+        assert_eq!(store.lookup(&StoreKey::of_plan(&plan)).unwrap(), None);
+        assert!(!path.exists(), "quarantine must move the entry aside");
+        assert_eq!(store.corrupt_quarantined(), 1);
+        assert_eq!(store.scan().unwrap().corrupt.len(), 1);
     }
 
     #[test]

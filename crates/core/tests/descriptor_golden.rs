@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use barracuda::pipeline::{TuneParams, WorkloadTuner};
-use barracuda::{builtin_backends, BackendSet, Daemon, ServeOptions, TuningSession};
+use barracuda::{BackendSet, Daemon, ServeOptions, TuningSession};
 use gpusim::ArchDescriptor;
 
 fn params() -> TuneParams {
@@ -35,7 +35,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn builtin_set_has_the_seven_keys_in_order() {
     assert_eq!(
-        builtin_backends().keys(),
+        BackendSet::builtin().keys(),
         vec![
             "gtx980",
             "k20",
@@ -81,7 +81,8 @@ fn gpu_store_salts_are_descriptor_digests() {
     for key in ["gtx980", "k20", "c2050"] {
         let arch = gpusim::arch_by_key(key).unwrap();
         let digest = ArchDescriptor::from_arch(arch).digest();
-        let b = barracuda::backend_by_key(key).unwrap();
+        let builtin = BackendSet::builtin();
+        let b = builtin.get(key).unwrap();
         assert_eq!(b.cache_salt(), digest, "{key}");
         assert_ne!(digest, 0, "{key}: digest 0 is reserved");
     }

@@ -7,8 +7,8 @@
 use barracuda::pipeline::{TuneParams, WorkloadTuner};
 use barracuda::workload::Workload;
 use barracuda::{
-    BudgetMode, EvalCache, Objective, PlanChoice, PlanProvenance, QuarantineEntry, QuarantineStage,
-    TunedPlan, PLAN_SCHEMA_VERSION,
+    BackendSet, BudgetMode, EvalCache, Objective, PlanChoice, PlanProvenance, QuarantineEntry,
+    QuarantineStage, TunedPlan, PLAN_SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use tensor::index::uniform_dims;
@@ -300,7 +300,8 @@ proptest! {
         let tuned = tuner
             .autotune_with_cache(&gpusim::k20(), params, &cache)
             .unwrap();
-        let plan = TunedPlan::from_tuned(&tuner, "k20", &tuned);
+        let k20 = BackendSet::builtin().get("k20").unwrap().clone();
+        let plan = TunedPlan::from_tuned_for(&tuner, k20.as_ref(), &tuned);
         let loaded = match TunedPlan::from_json_text(&plan.to_json_text()) {
             Ok(p) => p,
             Err(e) => return Err(proptest::test_runner::TestCaseError::fail(format!(

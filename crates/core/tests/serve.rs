@@ -157,6 +157,24 @@ fn bad_requests_fail_typed_without_killing_the_daemon() {
     assert!(!daemon.is_shutdown());
 }
 
+/// A line nested a million levels deep is refused by the parser's depth
+/// cap — a typed serve error, not a stack overflow that would take down
+/// every connection — and the next tune is served as usual.
+#[test]
+fn deeply_nested_line_is_a_typed_error_and_the_daemon_keeps_serving() {
+    let daemon = quick_daemon(None);
+    let deep = "[".repeat(1_000_000);
+    let v = Json::parse(&daemon.handle_line(&deep).response).unwrap();
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(v.get("stage").and_then(Json::as_str), Some("serve"));
+    assert_eq!(v.get("exit_code").and_then(Json::as_u64), Some(12));
+    let error = v.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("nesting deeper than"), "{error}");
+    let v = Json::parse(&daemon.handle_line(TUNE_EQN1).response).unwrap();
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    assert!(!daemon.is_shutdown());
+}
+
 /// `stats` reports live counters; `shutdown` flips the daemon's flag and
 /// tells the transport to stop.
 #[test]

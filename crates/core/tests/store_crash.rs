@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier, OnceLock};
 
 use barracuda::pipeline::{TuneParams, WorkloadTuner};
 use barracuda::workload::Workload;
-use barracuda::{PlanStore, StoreFaultPlan, StoreKey, StoreOptions, TunedPlan};
+use barracuda::{BackendSet, PlanStore, StoreFaultPlan, StoreKey, StoreOptions, TunedPlan};
 use proptest::prelude::*;
 use tensor::index::uniform_dims;
 
@@ -30,7 +30,8 @@ fn base_plan() -> &'static TunedPlan {
         let mut params = TuneParams::quick();
         params.surf.max_evals = 6;
         let tuned = tuner.autotune(&gpusim::k20(), params).unwrap();
-        TunedPlan::from_tuned(&tuner, "k20", &tuned)
+        let k20 = BackendSet::builtin().get("k20").unwrap().clone();
+        TunedPlan::from_tuned_for(&tuner, k20.as_ref(), &tuned)
     })
 }
 

@@ -6,7 +6,7 @@
 
 use barracuda::pipeline::{TuneParams, WorkloadTuner};
 use barracuda::workload::Workload;
-use barracuda::{EvalCache, PlanStore, StoreKey, TunedPlan};
+use barracuda::{BackendSet, EvalCache, PlanStore, StoreKey, TunedPlan};
 use proptest::prelude::*;
 use tensor::index::uniform_dims;
 
@@ -110,7 +110,8 @@ proptest! {
         let mut params = TuneParams::quick();
         params.surf.max_evals = max_evals;
         let tuned = tuner.autotune(&gpusim::k20(), params).unwrap();
-        let plan = TunedPlan::from_tuned(&tuner, "k20", &tuned);
+        let k20 = BackendSet::builtin().get("k20").unwrap().clone();
+        let plan = TunedPlan::from_tuned_for(&tuner, k20.as_ref(), &tuned);
         store.insert(&plan).unwrap();
         let back = store.lookup(&StoreKey::of_plan(&plan)).unwrap().unwrap();
         prop_assert_eq!(&plan, &back);

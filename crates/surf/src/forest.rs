@@ -145,46 +145,8 @@ impl PackedTree {
         p
     }
 
-    #[inline(always)]
-    fn step(&self, x: &[f64], at: u32) -> u32 {
-        let n = &self.nodes[at as usize];
-        if x[n.feat as usize] < n.thr {
-            n.left
-        } else {
-            n.right
-        }
-    }
-
-    /// Walks one row to its leaf value.
-    #[inline]
-    fn leaf(&self, x: &[f64]) -> f64 {
-        let mut at = 0u32;
-        for _ in 0..self.depth {
-            let next = self.step(x, at);
-            if next == at {
-                break;
-            }
-            at = next;
-        }
-        self.val[at as usize]
-    }
-}
-
-/// A forest whose node feature indices are rewritten against a
-/// [`CompactMatrix`] schema: each node records whether its column lives in
-/// the bitset or the numeric block, so traversal never consults a
-/// translation table. The comparison is unchanged — a bit rereads as
-/// exactly 0.0 or 1.0 before the `x < threshold` test — so every decision,
-/// and therefore every prediction, is bit-identical to the flat-matrix
-/// walk.
-#[derive(Clone, Debug)]
-pub struct CompiledForest {
-    trees: Vec<PackedTree>,
-    n_trees: usize,
-    n_features: usize,
-}
-
-impl PackedTree {
+    /// One step of the walk on a compact row: `xb` holds the bitset
+    /// columns, `xn` the numeric ones (see [`CompiledForest`]).
     #[inline(always)]
     fn cstep(&self, xb: &[u64], xn: &[f64], at: u32) -> u32 {
         let n = &self.nodes[at as usize];
@@ -201,6 +163,7 @@ impl PackedTree {
         }
     }
 
+    /// Walks one compact row to its leaf value.
     #[inline]
     fn cleaf(&self, xb: &[u64], xn: &[f64]) -> f64 {
         let mut at = 0u32;
@@ -215,6 +178,20 @@ impl PackedTree {
     }
 }
 
+/// A forest whose node feature indices are rewritten against a
+/// [`CompactMatrix`] schema: each node records whether its column lives in
+/// the bitset or the numeric block, so traversal never consults a
+/// translation table. The comparison is unchanged — a bit rereads as
+/// exactly 0.0 or 1.0 before the `x < threshold` test — so every decision,
+/// and therefore every prediction, is bit-identical to the scalar
+/// [`ExtraTrees::predict`] on the row the compact matrix was built from.
+#[derive(Clone, Debug)]
+pub struct CompiledForest {
+    trees: Vec<PackedTree>,
+    n_trees: usize,
+    n_features: usize,
+}
+
 impl CompiledForest {
     /// An empty forest to be filled by [`ExtraTrees::compile_into`]; keeps
     /// its allocations across refills.
@@ -227,9 +204,8 @@ impl CompiledForest {
     }
 
     /// Predicts the selected `rows` of compact matrix `c` into `out`
-    /// (cleared first); bit-identical to
-    /// [`ExtraTrees::predict_rows_into`] on the flat matrix `c` was built
-    /// from.
+    /// (cleared first); bit-identical to [`ExtraTrees::predict`] on each
+    /// selected row.
     pub fn predict_rows_into(&self, c: &CompactMatrix, rows: &[u32], out: &mut Vec<f64>) {
         out.clear();
         out.resize(rows.len(), 0.0);
@@ -246,6 +222,11 @@ impl CompiledForest {
         }
         assert_eq!(c.width(), self.n_features, "feature width mismatch");
         out.fill(0.0);
+        // Each row's leaf values are accumulated in ascending tree order
+        // from 0.0 and divided once, exactly the scalar path's reduction.
+        // Rows run in cache-resident blocks with the tree loop outside, so
+        // a tree's nodes stay hot across the block, and eight rows walk
+        // each tree at once to overlap the dependent node→child loads.
         const BLOCK: usize = 128;
         for (bi, chunk) in rows.chunks(BLOCK).enumerate() {
             let acc = &mut out[bi * BLOCK..bi * BLOCK + chunk.len()];
@@ -258,6 +239,9 @@ impl CompiledForest {
                     let xn: [&[f64]; LANES] =
                         std::array::from_fn(|l| c.num_row(chunk[i + l] as usize));
                     let mut at = [0u32; LANES];
+                    // Walk until every lane self-loops at a leaf; bounded by
+                    // the tree depth, but usually far shorter because the
+                    // deepest branch is rarely hit by any of the eight rows.
                     for _ in 0..t.depth {
                         let mut parked = true;
                         for l in 0..LANES {
@@ -523,20 +507,16 @@ impl ExtraTrees {
         self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Predicts a batch.
+    /// Predicts a batch through the compact traversal the search uses;
+    /// bit-identical to [`ExtraTrees::predict`] per row.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let m = FeatureMatrix::from_rows(xs);
+        let mut out = Vec::new();
+        if xs.is_empty() {
+            return out;
+        }
+        let c = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(xs));
         let rows: Vec<u32> = (0..xs.len() as u32).collect();
-        let mut out = Vec::new();
-        self.predict_rows_into(&m, &rows, &mut out);
-        out
-    }
-
-    /// Predicts every row of a flat matrix.
-    pub fn predict_rows(&self, m: &FeatureMatrix) -> Vec<f64> {
-        let rows: Vec<u32> = (0..m.n_rows() as u32).collect();
-        let mut out = Vec::new();
-        self.predict_rows_into(m, &rows, &mut out);
+        self.compile(&c).predict_rows_into(&c, &rows, &mut out);
         out
     }
 
@@ -574,61 +554,6 @@ impl ExtraTrees {
         }
         out.n_trees = self.trees.len();
         out.n_features = self.n_features;
-    }
-
-    /// Predicts the selected `rows` of `m` into `out` (cleared first).
-    ///
-    /// Bit-identical to calling [`predict`](Self::predict) per row: each
-    /// row's leaf values are accumulated in ascending tree order from 0.0
-    /// and divided once, exactly the scalar path's reduction. Rows are
-    /// processed in cache-resident blocks with the tree loop outside, so a
-    /// tree's SoA arrays stay hot across the whole block, and four rows
-    /// walk each tree at once to overlap the dependent node→child loads.
-    pub fn predict_rows_into(&self, m: &FeatureMatrix, rows: &[u32], out: &mut Vec<f64>) {
-        out.clear();
-        if rows.is_empty() {
-            return;
-        }
-        assert_eq!(m.width(), self.n_features, "feature width mismatch");
-        out.resize(rows.len(), 0.0);
-        const BLOCK: usize = 128;
-        for (bi, chunk) in rows.chunks(BLOCK).enumerate() {
-            let acc = &mut out[bi * BLOCK..bi * BLOCK + chunk.len()];
-            for t in &self.packed {
-                const LANES: usize = 8;
-                let mut i = 0;
-                while i + LANES <= chunk.len() {
-                    let x: [&[f64]; LANES] = std::array::from_fn(|l| m.row(chunk[i + l] as usize));
-                    let mut at = [0u32; LANES];
-                    // Walk until every lane self-loops at a leaf; bounded by
-                    // the tree depth, but usually far shorter because the
-                    // deepest branch is rarely hit by any of the eight rows.
-                    for _ in 0..t.depth {
-                        let mut parked = true;
-                        for l in 0..LANES {
-                            let next = t.step(x[l], at[l]);
-                            parked &= next == at[l];
-                            at[l] = next;
-                        }
-                        if parked {
-                            break;
-                        }
-                    }
-                    for l in 0..LANES {
-                        acc[i + l] += t.val[at[l] as usize];
-                    }
-                    i += LANES;
-                }
-                while i < chunk.len() {
-                    acc[i] += t.leaf(m.row(chunk[i] as usize));
-                    i += 1;
-                }
-            }
-        }
-        let n = self.trees.len() as f64;
-        for v in out.iter_mut() {
-            *v /= n;
-        }
     }
 }
 
@@ -748,42 +673,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn selected_rows_match_full_matrix() {
-        let (xs, ys) = synthetic(200, 13);
-        let model = ExtraTrees::fit(&xs, &ys, ForestParams::default());
-        let m = FeatureMatrix::from_rows(&xs);
-        let full = model.predict_rows(&m);
-        let sel: Vec<u32> = (0..xs.len() as u32).rev().step_by(3).collect();
+    /// Compact-traversal predictions of `rows` of `xs`, checked bit for
+    /// bit against the scalar reference.
+    fn assert_compact_matches_scalar(model: &ExtraTrees, xs: &[Vec<f64>], rows: &[u32]) {
+        let c = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(xs));
         let mut out = Vec::new();
-        model.predict_rows_into(&m, &sel, &mut out);
-        for (r, p) in sel.iter().zip(&out) {
-            assert_eq!(full[*r as usize].to_bits(), p.to_bits());
+        model.compile(&c).predict_rows_into(&c, rows, &mut out);
+        assert_eq!(out.len(), rows.len());
+        for (&r, p) in rows.iter().zip(&out) {
+            assert_eq!(model.predict(&xs[r as usize]).to_bits(), p.to_bits());
         }
     }
 
     #[test]
-    fn compiled_forest_matches_flat_matrix_bitwise() {
+    fn compiled_forest_matches_scalar_bitwise() {
         // Mixed binary (one-hot) and numeric columns, odd row count for the
-        // remainder lanes; compiled traversal must reproduce the flat-matrix
-        // predictions bit for bit.
+        // remainder lanes; the compiled traversal must reproduce the
+        // scalar predictions bit for bit.
         let (xs, ys) = synthetic(450, 21);
         let model = ExtraTrees::fit(&xs, &ys, ForestParams::default());
         let (xt, _) = synthetic(301, 22);
-        let m = FeatureMatrix::from_rows(&xt);
-        let c = crate::binarize::CompactMatrix::from_matrix(&m);
-        let rows: Vec<u32> = (0..m.n_rows() as u32).collect();
-        let (mut flat, mut compact) = (Vec::new(), Vec::new());
-        model.predict_rows_into(&m, &rows, &mut flat);
-        model.compile(&c).predict_rows_into(&c, &rows, &mut compact);
-        for (a, b) in flat.iter().zip(&compact) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Strided selection goes through the same gather path.
-        let sel: Vec<u32> = (0..m.n_rows() as u32).rev().step_by(7).collect();
-        model.predict_rows_into(&m, &sel, &mut flat);
-        model.compile(&c).predict_rows_into(&c, &sel, &mut compact);
-        assert_eq!(flat, compact);
+        let rows: Vec<u32> = (0..xt.len() as u32).collect();
+        assert_compact_matches_scalar(&model, &xt, &rows);
+        // Strided selections go through the same gather path.
+        let sel: Vec<u32> = (0..xt.len() as u32).rev().step_by(7).collect();
+        assert_compact_matches_scalar(&model, &xt, &sel);
+        let sel: Vec<u32> = (0..xt.len() as u32).rev().step_by(3).collect();
+        assert_compact_matches_scalar(&model, &xt, &sel);
     }
 
     #[test]
@@ -796,13 +712,8 @@ mod tests {
             .collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x[0] - x[1]).collect();
         let model = ExtraTrees::fit(&xs, &ys, ForestParams::default());
-        let m = FeatureMatrix::from_rows(&xs);
-        let c = crate::binarize::CompactMatrix::from_matrix(&m);
-        let rows: Vec<u32> = (0..m.n_rows() as u32).collect();
-        let (mut flat, mut compact) = (Vec::new(), Vec::new());
-        model.predict_rows_into(&m, &rows, &mut flat);
-        model.compile(&c).predict_rows_into(&c, &rows, &mut compact);
-        assert_eq!(flat, compact);
+        let rows: Vec<u32> = (0..xs.len() as u32).collect();
+        assert_compact_matches_scalar(&model, &xs, &rows);
     }
 
     #[test]

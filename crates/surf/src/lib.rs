@@ -26,5 +26,5 @@ pub use fault::{unit as fault_unit, FaultPlan, FaultyEvaluator, InjectedFault};
 pub use forest::{CompiledForest, ExtraTrees, ForestParams};
 pub use search::{
     surf_search, surf_search_parallel, surf_search_serial, EvalFault, ParallelEvaluator,
-    SearchError, SearchProvenance, SearchStatus, SurfParams, SurfResult, UnpromisingStop,
+    SearchError, SearchStatus, SurfParams, SurfResult,
 };

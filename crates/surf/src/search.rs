@@ -4,14 +4,14 @@
 //! provides the feature encoding and the (expensive, possibly parallel)
 //! evaluation. Lower evaluation values are better (execution time).
 //!
-//! Three entry points share one driver: [`surf_search`] takes `FnMut`
-//! closures and evaluates serially; [`surf_search_serial`] and
-//! [`surf_search_parallel`] take a [`ParallelEvaluator`] and run it on the
-//! calling thread or fan each batch (and the surrogate's pool scoring) out
-//! over the rayon pool. All produce *bit-identical* results for pure
-//! evaluators: batch membership is decided before evaluation, results are
-//! folded in batch order, and parallel maps preserve index order, so no
-//! reduction depends on thread scheduling.
+//! One driver runs every search. [`surf_search_serial`] and
+//! [`surf_search_parallel`] hand it a [`ParallelEvaluator`] and say whether
+//! each batch (and the surrogate's pool scoring) runs on the calling thread
+//! or fans out over the rayon pool; [`surf_search`] adapts a pair of
+//! closures to the serial entry point. Serial and parallel runs are
+//! *bit-identical* for pure evaluators: batch membership is decided before
+//! evaluation, results are folded in batch order, and parallel maps
+//! preserve index order, so no reduction depends on thread scheduling.
 //!
 //! ## Fault tolerance
 //!
@@ -87,7 +87,7 @@ impl std::error::Error for SearchError {}
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SearchStatus {
     /// The search ran until a configured stopping rule (budget, patience,
-    /// model confidence, pool exhaustion) was satisfied.
+    /// pool exhaustion) was satisfied.
     Complete,
     /// The search stopped early — deadline expired or too many
     /// quarantines — and returned the best survivor found so far.
@@ -97,33 +97,6 @@ pub enum SearchStatus {
 impl SearchStatus {
     pub fn is_degraded(&self) -> bool {
         matches!(self, SearchStatus::Degraded { .. })
-    }
-}
-
-/// Model-confidence stopping rule: stop once the surrogate predicts that
-/// fewer than `epsilon` of the remaining configurations lie within
-/// `delta` (relative) of the incumbent. On a *flat* landscape every
-/// configuration stays "promising", so the search runs to `max_evals` —
-/// reproducing the paper's observation that "the tiny Eqn.(1) computation
-/// spends the longest because the performances of its versions are so
-/// similar" (§VI-A).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct UnpromisingStop {
-    /// Relative band around the incumbent that counts as promising.
-    pub delta: f64,
-    /// Stop when the promising fraction of the pool falls below this.
-    pub epsilon: f64,
-    /// Never stop before this many evaluations.
-    pub min_evals: usize,
-}
-
-impl Default for UnpromisingStop {
-    fn default() -> Self {
-        UnpromisingStop {
-            delta: 0.05,
-            epsilon: 0.02,
-            min_evals: 60,
-        }
     }
 }
 
@@ -145,8 +118,6 @@ pub struct SurfParams {
     pub patience: Option<usize>,
     /// Relative improvement threshold for the patience counter.
     pub min_improvement: f64,
-    /// Optional model-confidence stop (see [`UnpromisingStop`]).
-    pub unpromising_stop: Option<UnpromisingStop>,
     /// Wall-clock deadline in seconds, checked at batch boundaries; on
     /// expiry the search stops with a `Degraded` status and the best
     /// survivor so far. `None` disables the deadline (and keeps results
@@ -168,7 +139,6 @@ impl Default for SurfParams {
             max_evals: 100,
             patience: None,
             min_improvement: 0.01,
-            unpromising_stop: None,
             wall_deadline_s: None,
             min_survivor_fraction: 0.0,
             seed: 0x5EED,
@@ -192,7 +162,7 @@ pub struct SurfResult {
     pub status: SearchStatus,
     /// Batches executed (model refits).
     pub batches: usize,
-    /// Threads the evaluation backend used (1 for the serial entry point).
+    /// Threads the evaluation ran on (1 for the serial entry point).
     pub threads: usize,
     /// Wall-clock seconds spent inside the search.
     pub wall_s: f64,
@@ -216,38 +186,6 @@ impl SurfResult {
     pub fn n_attempted(&self) -> usize {
         self.evaluated.len() + self.quarantined.len()
     }
-
-    /// Serialization-friendly summary of how this search ran, for plan
-    /// artifacts that persist the winning configuration's provenance.
-    pub fn provenance(&self) -> SearchProvenance {
-        SearchProvenance {
-            n_evals: self.n_evals(),
-            n_quarantined: self.quarantined.len(),
-            batches: self.batches,
-            threads: self.threads,
-            wall_s: self.wall_s,
-            degraded: self.status.is_degraded(),
-            status: match &self.status {
-                SearchStatus::Complete => "complete".to_string(),
-                SearchStatus::Degraded { reason } => format!("degraded: {reason}"),
-            },
-        }
-    }
-}
-
-/// Flat, string-and-number summary of a finished search — everything a
-/// saved tuning plan needs to explain *how* its configuration was found,
-/// with no lifetime or closure baggage.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SearchProvenance {
-    pub n_evals: usize,
-    pub n_quarantined: usize,
-    pub batches: usize,
-    pub threads: usize,
-    pub wall_s: f64,
-    pub degraded: bool,
-    /// Human-readable status line (`complete` or `degraded: <reason>`).
-    pub status: String,
 }
 
 /// A thread-safe configuration evaluator, the unit of work
@@ -284,213 +222,6 @@ impl<E: ParallelEvaluator + ?Sized> ParallelEvaluator for &E {
     }
 }
 
-/// Evaluation backend the shared driver is generic over: given a batch of
-/// ids decided by the search, produce `(features, outcome)` per id *in
-/// batch order*; given the fitted surrogate, score the remaining pool in
-/// index order. Features of faulted configurations are not needed and may
-/// be empty.
-trait Backend {
-    fn eval_batch(&mut self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)>;
-    /// Scores `remaining` into the caller-owned `out` (cleared first), so
-    /// the driver's per-round prediction buffer is reused across rounds.
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>);
-    fn threads(&self) -> usize;
-    /// Nanoseconds spent in model prediction during `score` so far.
-    fn predict_ns(&self) -> u64 {
-        0
-    }
-}
-
-/// Featurized pool shared by every scoring pass: built once from the first
-/// pass's `remaining` set (later sets are subsets — the pool only shrinks),
-/// compressed into a [`CompactMatrix`] (one bit per one-hot column), then
-/// every pass compiles the fresh forest against that schema, gathers row
-/// indices and runs the blocked traversal over rows a tenth the size of the
-/// flat matrix. This removes both the per-pass per-candidate `Vec<f64>`
-/// featurization and the DRAM streaming that used to dominate search wall
-/// time; predictions stay bit-identical to the naive per-id path.
-struct PoolFeatures {
-    rows: CompactMatrix,
-    index: HashMap<u128, u32>,
-    sel: Vec<u32>,
-    /// Compiled-forest scratch refilled in place each pass
-    /// ([`ExtraTrees::compile_into`]), so steady-state scoring reuses the
-    /// previous round's tree allocations.
-    compiled: CompiledForest,
-}
-
-impl PoolFeatures {
-    fn build(feats: Vec<Vec<f64>>, ids: &[u128]) -> Self {
-        let rows = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&feats));
-        let index = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
-        PoolFeatures {
-            rows,
-            index,
-            sel: Vec::new(),
-            compiled: CompiledForest::empty(),
-        }
-    }
-
-    /// Scores `remaining` in order into `out`; bit-identical to per-id
-    /// `model.predict(features(id))` because the compiled traversal makes
-    /// the same decisions and reduces in the same tree order per row.
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        self.sel.clear();
-        self.sel.extend(remaining.iter().map(|id| self.index[id]));
-        model.compile_into(&self.rows, &mut self.compiled);
-        self.compiled.predict_rows_into(&self.rows, &self.sel, out);
-    }
-
-    /// Parallel variant: rows are predicted independently (no cross-row
-    /// reduction), so chunking the selection over the rayon pool — each
-    /// chunk filling its own disjoint piece of `out` — keeps every output
-    /// bit identical to the serial traversal.
-    fn score_parallel(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        self.sel.clear();
-        self.sel.extend(remaining.iter().map(|id| self.index[id]));
-        model.compile_into(&self.rows, &mut self.compiled);
-        out.clear();
-        out.resize(self.sel.len(), 0.0);
-        let rows = &self.rows;
-        let compiled = &self.compiled;
-        rayon::par_chunks_zip_mut(&self.sel, out, 2048, |c, o| {
-            compiled.predict_rows_to(rows, c, o);
-        });
-    }
-}
-
-struct SerialBackend<F, E> {
-    features: F,
-    evaluate: E,
-    pool: Option<PoolFeatures>,
-    predict_ns: u64,
-}
-
-impl<F: FnMut(u128) -> Vec<f64>, E: FnMut(u128) -> f64> Backend for SerialBackend<F, E> {
-    fn eval_batch(&mut self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)> {
-        ids.iter()
-            .map(|&id| {
-                // Evaluation before featurization, matching the historical
-                // call order observed by stateful closures.
-                let y = (self.evaluate)(id);
-                ((self.features)(id), Ok(y))
-            })
-            .collect()
-    }
-
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        // The feature closure runs once per pool id — on the first scoring
-        // pass — instead of once per id per round: later `remaining` sets
-        // are subsets of the first (the pool only shrinks), so the cached
-        // compact rows answer every subsequent pass.
-        let pool = match &mut self.pool {
-            Some(p) => p,
-            None => {
-                let feats: Vec<Vec<f64>> =
-                    remaining.iter().map(|&id| (self.features)(id)).collect();
-                self.pool.insert(PoolFeatures::build(feats, remaining))
-            }
-        };
-        let t0 = Instant::now();
-        pool.score(model, remaining, out);
-        self.predict_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    fn threads(&self) -> usize {
-        1
-    }
-
-    fn predict_ns(&self) -> u64 {
-        self.predict_ns
-    }
-}
-
-/// Serial backend over a [`ParallelEvaluator`]: same call order as the
-/// parallel backend, on the calling thread. Used for `threads == 1` so
-/// fault outcomes (not just values) match the parallel path bit-for-bit.
-struct SerialEvalBackend<'a, E: ParallelEvaluator> {
-    evaluator: &'a E,
-    pool: Option<PoolFeatures>,
-    predict_ns: u64,
-}
-
-impl<E: ParallelEvaluator> Backend for SerialEvalBackend<'_, E> {
-    fn eval_batch(&mut self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)> {
-        ids.iter()
-            .map(|&id| match self.evaluator.try_evaluate(id) {
-                Ok(y) => (self.evaluator.features(id), Ok(y)),
-                Err(fault) => (Vec::new(), Err(fault)),
-            })
-            .collect()
-    }
-
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        let pool = match &mut self.pool {
-            Some(p) => p,
-            None => {
-                let feats: Vec<Vec<f64>> = remaining
-                    .iter()
-                    .map(|&id| self.evaluator.features(id))
-                    .collect();
-                self.pool.insert(PoolFeatures::build(feats, remaining))
-            }
-        };
-        let t0 = Instant::now();
-        pool.score(model, remaining, out);
-        self.predict_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    fn threads(&self) -> usize {
-        1
-    }
-
-    fn predict_ns(&self) -> u64 {
-        self.predict_ns
-    }
-}
-
-struct ParallelBackend<'a, E: ParallelEvaluator> {
-    evaluator: &'a E,
-    pool: Option<PoolFeatures>,
-    predict_ns: u64,
-}
-
-impl<E: ParallelEvaluator> Backend for ParallelBackend<'_, E> {
-    fn eval_batch(&mut self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)> {
-        // Order-preserving indexed map: slot i holds id i's result, so the
-        // fold in the driver sees batch order regardless of scheduling.
-        rayon::par_map_slice(ids, |&id| match self.evaluator.try_evaluate(id) {
-            Ok(y) => (self.evaluator.features(id), Ok(y)),
-            Err(fault) => (Vec::new(), Err(fault)),
-        })
-    }
-
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        let pool = match &mut self.pool {
-            Some(p) => p,
-            None => {
-                let feats = rayon::par_map_slice(remaining, |&id| self.evaluator.features(id));
-                self.pool.insert(PoolFeatures::build(feats, remaining))
-            }
-        };
-        let t0 = Instant::now();
-        pool.score_parallel(model, remaining, out);
-        self.predict_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    fn threads(&self) -> usize {
-        rayon::current_num_threads()
-    }
-
-    fn predict_ns(&self) -> u64 {
-        self.predict_ns
-    }
-}
-
 /// Runs SURF over `pool`, evaluating serially on the calling thread.
 ///
 /// * `features(id)` returns the *binarized* feature vector of a config.
@@ -500,20 +231,22 @@ impl<E: ParallelEvaluator> Backend for ParallelBackend<'_, E> {
 /// module docs.
 pub fn surf_search(
     pool: &[u128],
-    features: impl FnMut(u128) -> Vec<f64>,
-    evaluate: impl FnMut(u128) -> f64,
+    features: impl Fn(u128) -> Vec<f64> + Sync,
+    evaluate: impl Fn(u128) -> f64 + Sync,
     params: SurfParams,
 ) -> Result<SurfResult, SearchError> {
-    drive(
-        pool,
-        &mut SerialBackend {
-            features,
-            evaluate,
-            pool: None,
-            predict_ns: 0,
-        },
-        params,
-    )
+    struct Closures<F, G>(F, G);
+    impl<F: Fn(u128) -> Vec<f64> + Sync, G: Fn(u128) -> f64 + Sync> ParallelEvaluator
+        for Closures<F, G>
+    {
+        fn features(&self, id: u128) -> Vec<f64> {
+            (self.0)(id)
+        }
+        fn evaluate(&self, id: u128) -> f64 {
+            (self.1)(id)
+        }
+    }
+    surf_search_serial(pool, &Closures(features, evaluate), params)
 }
 
 /// Runs SURF over `pool` with a [`ParallelEvaluator`] on the calling
@@ -525,41 +258,117 @@ pub fn surf_search_serial<E: ParallelEvaluator>(
     evaluator: &E,
     params: SurfParams,
 ) -> Result<SurfResult, SearchError> {
-    drive(
-        pool,
-        &mut SerialEvalBackend {
-            evaluator,
-            pool: None,
-            predict_ns: 0,
-        },
-        params,
-    )
+    drive(pool, Evaluations::new(evaluator, false), params)
 }
 
 /// Runs SURF over `pool`, fanning each batch evaluation and each surrogate
 /// scoring pass out over the rayon thread pool (sized by
 /// `RAYON_NUM_THREADS`, default: all cores). For pure evaluators the result
-/// is bit-identical to [`surf_search`] with the same parameters, at any
-/// thread count.
+/// is bit-identical to [`surf_search_serial`] with the same parameters, at
+/// any thread count.
 pub fn surf_search_parallel<E: ParallelEvaluator>(
     pool: &[u128],
     evaluator: &E,
     params: SurfParams,
 ) -> Result<SurfResult, SearchError> {
-    drive(
-        pool,
-        &mut ParallelBackend {
-            evaluator,
-            pool: None,
-            predict_ns: 0,
-        },
-        params,
-    )
+    drive(pool, Evaluations::new(evaluator, true), params)
 }
 
-fn drive<B: Backend>(
+/// The driver's evaluation side: runs a batch through the evaluator and
+/// scores the remaining pool with the fitted surrogate, serially or over
+/// the rayon pool. Both modes do the same work per id and keep index
+/// order, so `parallel` never changes a result.
+///
+/// The pool is featurized once, on the first scoring pass (later
+/// `remaining` sets are subsets: the pool only shrinks), and compressed
+/// into a [`CompactMatrix`] with one bit per one-hot column. Every pass
+/// then compiles the fresh forest against that schema into a reused
+/// [`CompiledForest`] and runs the blocked traversal over the selected
+/// rows, bit-identical to per-id `model.predict(features(id))`.
+struct Evaluations<'a, E> {
+    evaluator: &'a E,
+    parallel: bool,
+    /// Compact pool rows and each id's row index, built on first use.
+    pool: Option<(CompactMatrix, HashMap<u128, u32>)>,
+    /// Row indices of the current pass, refilled in place.
+    sel: Vec<u32>,
+    /// Compiled-forest scratch refilled in place each pass
+    /// ([`ExtraTrees::compile_into`]).
+    compiled: CompiledForest,
+    predict_ns: u64,
+}
+
+impl<'a, E: ParallelEvaluator> Evaluations<'a, E> {
+    fn new(evaluator: &'a E, parallel: bool) -> Self {
+        Evaluations {
+            evaluator,
+            parallel,
+            pool: None,
+            sel: Vec::new(),
+            compiled: CompiledForest::empty(),
+            predict_ns: 0,
+        }
+    }
+
+    /// `(features, outcome)` per id in batch order. Faulted configurations
+    /// never reach the surrogate, so their features are left empty.
+    fn eval_batch(&self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)> {
+        map_ids(self.parallel, ids, |id| {
+            match self.evaluator.try_evaluate(id) {
+                Ok(y) => (self.evaluator.features(id), Ok(y)),
+                Err(fault) => (Vec::new(), Err(fault)),
+            }
+        })
+    }
+
+    /// Scores `remaining` in order into the caller-owned `out`, so the
+    /// driver's per-round prediction buffer is reused across rounds. Rows
+    /// are predicted independently, so chunking them over the rayon pool
+    /// leaves every output bit identical to the serial traversal.
+    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
+        let (rows, index) = self.pool.get_or_insert_with(|| {
+            let feats = map_ids(self.parallel, remaining, |id| self.evaluator.features(id));
+            let rows = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&feats));
+            (rows, (0..).zip(remaining).map(|(i, &id)| (id, i)).collect())
+        });
+        let t0 = Instant::now();
+        self.sel.clear();
+        self.sel.extend(remaining.iter().map(|id| index[id]));
+        model.compile_into(rows, &mut self.compiled);
+        out.clear();
+        out.resize(self.sel.len(), 0.0);
+        let compiled = &self.compiled;
+        if self.parallel {
+            rayon::par_chunks_zip_mut(&self.sel, out, 2048, |c, o| {
+                compiled.predict_rows_to(rows, c, o);
+            });
+        } else {
+            compiled.predict_rows_to(rows, &self.sel, out);
+        }
+        self.predict_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    fn threads(&self) -> usize {
+        if self.parallel {
+            rayon::current_num_threads()
+        } else {
+            1
+        }
+    }
+}
+
+/// `f` over `ids` in index order, on the rayon pool when `parallel`.
+fn map_ids<T: Send>(parallel: bool, ids: &[u128], f: impl Fn(u128) -> T + Sync) -> Vec<T> {
+    if parallel {
+        rayon::par_map_slice(ids, |&id| f(id))
+    } else {
+        ids.iter().map(|&id| f(id)).collect()
+    }
+}
+
+fn drive<E: ParallelEvaluator>(
     pool: &[u128],
-    backend: &mut B,
+    mut evals: Evaluations<'_, E>,
     params: SurfParams,
 ) -> Result<SurfResult, SearchError> {
     if pool.is_empty() {
@@ -602,7 +411,7 @@ fn drive<B: Backend>(
     // scheduling-independent. Faulted or non-finite outcomes go to
     // quarantine and never reach the surrogate's training set.
     let run_batch = |ids: &[u128],
-                     backend: &mut B,
+                     evals: &Evaluations<'_, E>,
                      xs: &mut Vec<Vec<f64>>,
                      ys: &mut Vec<f64>,
                      evaluated: &mut Vec<(u128, f64)>,
@@ -610,7 +419,7 @@ fn drive<B: Backend>(
                      best: &mut Option<(u128, f64)>|
      -> bool {
         let mut improved = false;
-        for (&id, (x, outcome)) in ids.iter().zip(backend.eval_batch(ids)) {
+        for (&id, (x, outcome)) in ids.iter().zip(evals.eval_batch(ids)) {
             let y = match outcome {
                 Ok(y) if y.is_finite() => y,
                 Ok(y) => {
@@ -676,7 +485,7 @@ fn drive<B: Backend>(
     let init: Vec<u128> = remaining.drain(..n_init).collect();
     run_batch(
         &init,
-        backend,
+        &evals,
         &mut xs,
         &mut ys,
         &mut evaluated,
@@ -711,25 +520,10 @@ fn drive<B: Backend>(
         } else {
             let model = ExtraTrees::fit(&xs, &ys, params.forest);
             // Predict all remaining configs, take the best-predicted batch.
-            backend.score(&model, &remaining, &mut preds);
+            evals.score(&model, &remaining, &mut preds);
             scored.clear();
             scored.extend(preds.iter().copied().enumerate());
             scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-
-            // Model-confidence stop: how much of the pool still looks
-            // competitive with the incumbent?
-            if let (Some(stop), Some((_, by))) = (params.unpromising_stop, best) {
-                if evaluated.len() >= stop.min_evals {
-                    let promising = scored
-                        .iter()
-                        .filter(|(_, pred)| *pred <= by * (1.0 + stop.delta))
-                        .count();
-                    let frac = promising as f64 / scored.len() as f64;
-                    if frac < stop.epsilon {
-                        break;
-                    }
-                }
-            }
 
             chosen_idx.clear();
             chosen_idx.extend(scored[..take].iter().map(|(k, _)| *k));
@@ -741,7 +535,7 @@ fn drive<B: Backend>(
 
         let improved = run_batch(
             &ids,
-            backend,
+            &evals,
             &mut xs,
             &mut ys,
             &mut evaluated,
@@ -777,9 +571,9 @@ fn drive<B: Backend>(
             quarantined,
             status,
             batches,
-            threads: backend.threads(),
+            threads: evals.threads(),
             wall_s: start.elapsed().as_secs_f64(),
-            predict_ns: backend.predict_ns(),
+            predict_ns: evals.predict_ns,
             duplicates_pruned,
         }),
         None => Err(SearchError::NoSurvivors {
@@ -791,7 +585,12 @@ fn drive<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// One call counter per id in `0..n`.
+    fn counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
 
     /// A structured landscape: low values clustered around a "good region"
     /// the model can learn.
@@ -842,13 +641,13 @@ mod tests {
     #[test]
     fn never_reevaluates_a_configuration() {
         let pool: Vec<u128> = (0..500).collect();
-        let count = RefCell::new(std::collections::HashMap::<u128, usize>::new());
+        let count = counters(500);
         let eval = |id: u128| {
-            *count.borrow_mut().entry(id).or_insert(0) += 1;
+            count[id as usize].fetch_add(1, Ordering::Relaxed);
             landscape(id)
         };
         let res = surf_search(&pool, feats, eval, SurfParams::default()).unwrap();
-        assert!(count.borrow().values().all(|&c| c == 1));
+        assert!(count.iter().all(|c| c.load(Ordering::Relaxed) <= 1));
         assert_eq!(res.n_evals(), 100);
     }
 
@@ -907,7 +706,6 @@ mod tests {
 
     #[test]
     fn parallel_never_reevaluates_a_configuration() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         struct Counting {
             calls: Vec<AtomicUsize>,
         }
@@ -922,7 +720,7 @@ mod tests {
         }
         let pool: Vec<u128> = (0..500).collect();
         let evaluator = Counting {
-            calls: (0..500).map(|_| AtomicUsize::new(0)).collect(),
+            calls: counters(500),
         };
         let res = surf_search_parallel(&pool, &evaluator, SurfParams::default()).unwrap();
         assert_eq!(res.n_evals(), 100);
@@ -1058,14 +856,14 @@ mod tests {
             doubled.push(id);
         }
         doubled.push(3);
-        let count = RefCell::new(std::collections::HashMap::<u128, usize>::new());
+        let count = counters(unique.len());
         let eval = |id: u128| {
-            *count.borrow_mut().entry(id).or_insert(0) += 1;
+            count[id as usize].fetch_add(1, Ordering::Relaxed);
             landscape(id)
         };
         let res = surf_search(&doubled, feats, eval, SurfParams::default()).unwrap();
         assert_eq!(res.duplicates_pruned, unique.len() + 1);
-        assert!(count.borrow().values().all(|&c| c == 1));
+        assert!(count.iter().all(|c| c.load(Ordering::Relaxed) <= 1));
         let ids: std::collections::HashSet<u128> =
             res.evaluated.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids.len(), res.n_evals());
