@@ -5,7 +5,7 @@
 //! barracuda info <file.dsl | builtin:NAME> [options]
 //! barracuda replay <plan.json> [--validate] [--emit cuda]
 //! barracuda replay <file.dsl | builtin:NAME> --store DIR [--backend KEY]
-//! barracuda plans <list|gc> --store DIR [--schema-older-than V] [--corrupt]
+//! barracuda plans <list|gc> --store DIR [--corrupt]
 //! barracuda plans <show|path> <file.dsl | builtin:NAME> --store DIR
 //! barracuda serve [--store DIR] [--listen stdio|tcp:HOST:PORT|unix:PATH]
 //!                 [--max-searches N] [--queue N] [--fsync]
@@ -35,14 +35,11 @@
 //!                                 timing; miss -> search then persist),
 //!                                 `replay` takes a workload spec instead
 //!                                 of a path, `plans` manages the entries
-//!   --schema-older-than V         `plans gc`: evict entries whose plan
-//!                                 schema is below V (default: the
-//!                                 current schema)
 //!   --corrupt                     `plans gc`: also remove `*.corrupt`
 //!                                 quarantine sidecars and orphaned
-//!                                 `*.partial` temp files
-//!   --schema V                    `plans path`: address an entry written
-//!                                 with schema V instead of the current
+//!                                 `*.partial` temp files (`plans gc`
+//!                                 always evicts entries filed under an
+//!                                 older plan schema)
 //!   --save-plan PATH              persist the winning configuration +
 //!                                 provenance as versioned JSON (single
 //!                                 GPU target only); `barracuda replay`
@@ -109,8 +106,9 @@
 //! 5 factorization, 6 mapping, 7 simulation, 8 search, 10 plan,
 //! 11 store, 12 serve, 13 busy, 14 descriptor); 9 means the run
 //! completed but degraded under `--strict`.
-//! A bad plan *artifact* — unsupported schema version, tampered workload
-//! fingerprint, foreign backend cache salt — is the exit-10 case; a bad
+//! A bad plan *artifact* — unsupported schema version (any plan file
+//! not written in the current v3 layout), tampered workload fingerprint,
+//! foreign backend cache salt — is the exit-10 case; a bad
 //! plan *store* — unreadable directory, an injected I/O fault — is the
 //! exit-11 case (a corrupt *entry* is quarantined to a `*.corrupt`
 //! sidecar and treated as a miss instead); a daemon that cannot bind its
@@ -123,7 +121,7 @@
 //! s1_1..s1_9, d1_1..d1_9, d2_1..d2_9.
 
 use barracuda::prelude::*;
-use barracuda::report::fmt_f;
+use barracuda::report::{fmt_f, fmt_timing};
 use barracuda::{
     BackendSet, EvalCache, PlanStore, TunedPlan, TunedWorkload, TuningSession, PLAN_SCHEMA_VERSION,
 };
@@ -138,8 +136,6 @@ struct Options {
     arch_dir: Option<String>,
     backend: Option<String>,
     store: Option<String>,
-    schema_older_than: Option<u64>,
-    schema: Option<u64>,
     save_plan: Option<String>,
     dims: IndexMap,
     default_dim: Option<usize>,
@@ -173,8 +169,6 @@ impl Default for Options {
             arch_dir: None,
             backend: None,
             store: None,
-            schema_older_than: None,
-            schema: None,
             save_plan: None,
             dims: IndexMap::new(),
             default_dim: None,
@@ -252,8 +246,8 @@ fn usage() -> ExitCode {
          [--deadline S] [--min-survivors F] [--inject-faults RATE] \
          [--fault-seed N] [--strict] \
          [--emit cuda|cufile|tcr|annotation] [--validate] [--fused]\n\
-         \x20      barracuda plans <list|gc> --store DIR [--schema-older-than V] [--corrupt]\n\
-         \x20      barracuda plans <show|path> <workload> --store DIR [--backend KEY] [--schema V]\n\
+         \x20      barracuda plans <list|gc> --store DIR [--corrupt]\n\
+         \x20      barracuda plans <show|path> <workload> --store DIR [--backend KEY]\n\
          \x20      barracuda serve [--store DIR] [--listen stdio|tcp:HOST:PORT|unix:PATH] \
          [--backend KEY] [--quick] [--evals N] [--deadline S] \
          [--max-searches N] [--queue N] [--fsync]"
@@ -287,22 +281,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--backend" => o.backend = Some(it.next().ok_or("--backend needs a key")?.clone()),
             "--store" => o.store = Some(it.next().ok_or("--store needs a directory")?.clone()),
-            "--schema-older-than" => {
-                o.schema_older_than = Some(
-                    it.next()
-                        .ok_or("--schema-older-than needs a version")?
-                        .parse()
-                        .map_err(|_| "bad schema version")?,
-                )
-            }
-            "--schema" => {
-                o.schema = Some(
-                    it.next()
-                        .ok_or("--schema needs a version")?
-                        .parse()
-                        .map_err(|_| "bad schema version")?,
-                )
-            }
             "--save-plan" => {
                 o.save_plan = Some(it.next().ok_or("--save-plan needs a path")?.clone())
             }
@@ -704,11 +682,8 @@ fn cmd_tune(w: &Workload, o: &Options) -> Result<(), CliError> {
         let out = session.tune_built(&tuner, &arch.key, params)?;
         let tuned = &out.tuned;
         println!(
-            "{:12} {:>10} us device  {:>8} GF device  {:>8} GF w/transfers  ({} evals, space {})",
-            arch.name,
-            fmt_f(tuned.gpu_seconds * 1e6),
-            fmt_f(tuned.gflops_device()),
-            fmt_f(tuned.gflops()),
+            "{}  ({} evals, space {})",
+            fmt_timing(tuned),
             tuned.search.n_evals,
             tuned.search.space_size,
         );
@@ -748,8 +723,8 @@ fn cmd_tune(w: &Workload, o: &Options) -> Result<(), CliError> {
         if let Some(path) = &o.save_plan {
             out.plan.save(std::path::Path::new(path))?;
             println!(
-                "  plan saved to {path} (schema v{}, fingerprint {:016x})",
-                out.plan.schema_version, out.plan.fingerprint
+                "  plan saved to {path} (schema v{PLAN_SCHEMA_VERSION}, fingerprint {:016x})",
+                out.plan.fingerprint
             );
         }
         if o.validate {
@@ -894,13 +869,9 @@ fn report_replay(
     o: &Options,
 ) -> Result<(), CliError> {
     println!(
-        "{:12} {:>10} us device  {:>8} GF device  {:>8} GF w/transfers  \
-         (replayed, 0 evals; search spent {})",
-        tuned.arch_name,
-        fmt_f(tuned.gpu_seconds * 1e6),
-        fmt_f(tuned.gflops_device()),
-        fmt_f(tuned.gflops()),
-        plan.provenance.n_evals,
+        "{}  (replayed, 0 evals; search spent {})",
+        fmt_timing(tuned),
+        plan.search.n_evals,
     );
     if !plan.objective.is_time_only() {
         println!("  objective: {}", plan.objective.describe());
@@ -908,8 +879,9 @@ fn report_replay(
     if !tuned.quarantine.is_empty() {
         println!("  {}", tuned.quarantine);
     }
-    if plan.provenance.degraded {
-        println!("  saved search was degraded: {}", plan.provenance.status);
+    if let SearchStatus::Degraded { reason } = &plan.status {
+        // The plan's `status` field as saved: `degraded: <reason>`.
+        println!("  saved search was degraded: degraded: {reason}");
     }
     if o.validate {
         let inputs = w.random_inputs(1);
@@ -950,9 +922,7 @@ fn cmd_plans(sub: &str, spec: Option<&str>, o: &Options) -> Result<(), CliError>
         .ok_or_else(|| CliError::Usage("plans needs --store DIR".to_string()))?;
     let store = PlanStore::open(root)?;
     let (set, loaded) = backend_set_for(o)?;
-    // Resolves the store key of `(workload spec, --backend/--arch)`, with
-    // `--schema V` overriding the addressed schema version (pre-v2 plans
-    // always carry salt 0, and their addresses must agree).
+    // Resolves the store key of `(workload spec, --backend/--arch)`.
     let key_of = |spec: &str| -> Result<barracuda::StoreKey, CliError> {
         let w = load_workload(spec, o)?;
         let backend = o
@@ -960,14 +930,7 @@ fn cmd_plans(sub: &str, spec: Option<&str>, o: &Options) -> Result<(), CliError>
             .clone()
             .unwrap_or_else(|| default_target(o, &loaded));
         let session = TuningSession::new().with_backends(Arc::clone(&set));
-        let mut key = session.key_for(&w, &backend)?;
-        if let Some(v) = o.schema {
-            key.schema = v;
-            if v < 2 {
-                key.cache_salt = 0;
-            }
-        }
-        Ok(key)
+        Ok(session.key_for(&w, &backend)?)
     };
     match sub {
         "list" => {
@@ -1050,10 +1013,9 @@ fn cmd_plans(sub: &str, spec: Option<&str>, o: &Options) -> Result<(), CliError>
             Ok(())
         }
         "gc" => {
-            let cutoff = o.schema_older_than.unwrap_or(PLAN_SCHEMA_VERSION);
-            let evicted = store.gc(cutoff)?;
+            let evicted = store.gc()?;
             println!(
-                "plan store {}: evicted {} stale plan(s) (schema < {cutoff})",
+                "plan store {}: evicted {} stale plan(s) (schema < {PLAN_SCHEMA_VERSION})",
                 store.root().display(),
                 evicted.len()
             );

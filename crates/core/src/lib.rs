@@ -75,7 +75,7 @@ pub use error::{BarracudaError, Result};
 pub use fusionopt::{fuse_alternatives, FusedAlternative};
 pub use objective::{BudgetMode, Objective};
 pub use pipeline::{SearchStats, TuneParams, TunedWorkload, TunerEvaluator, WorkloadTuner};
-pub use plan::{PlanChoice, PlanProvenance, TunedPlan, PLAN_SCHEMA_READABLE, PLAN_SCHEMA_VERSION};
+pub use plan::{PlanChoice, TunedPlan, PLAN_SCHEMA_VERSION};
 pub use quarantine::{QuarantineEntry, QuarantineReport, QuarantineStage};
 pub use serve::{
     AdmissionGate, ChaosPlan, Daemon, Listen, MetricsSnapshot, ServeMetrics, ServeOptions,

@@ -1,6 +1,9 @@
-//! Plain-text table rendering for the benchmark binaries.
+//! Plain-text table rendering for the benchmark binaries, and the timing
+//! columns every tuning result line starts with.
 
 use std::fmt;
+
+use crate::pipeline::TunedWorkload;
 
 /// A simple aligned text table.
 #[derive(Clone, Debug, Default)]
@@ -41,6 +44,20 @@ pub fn fmt_f(v: f64) -> String {
 /// Formats seconds the way the paper's search column does (e.g. `324.8s`).
 pub fn fmt_secs(v: f64) -> String {
     format!("{v:.1}s")
+}
+
+/// The timing columns of a tuned result: architecture, device time,
+/// device GFlop/s and GFlop/s with transfers. `tune`, `replay` and the
+/// daemon each append their own tail, so a replayed plan prints the same
+/// columns as the search that produced it.
+pub fn fmt_timing(tuned: &TunedWorkload) -> String {
+    format!(
+        "{:12} {:>10} us device  {:>8} GF device  {:>8} GF w/transfers",
+        tuned.arch_name,
+        fmt_f(tuned.gpu_seconds * 1e6),
+        fmt_f(tuned.gflops_device()),
+        fmt_f(tuned.gflops()),
+    )
 }
 
 impl fmt::Display for Table {

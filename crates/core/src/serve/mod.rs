@@ -58,7 +58,7 @@ use crate::error::BarracudaError;
 use crate::json::Json;
 use crate::kernels;
 use crate::pipeline::{TuneParams, TunedWorkload, WorkloadTuner};
-use crate::report::fmt_f;
+use crate::report::fmt_timing;
 use crate::session::{PlanSource, TuningSession};
 use crate::stages::frontend::workload_fingerprint;
 use crate::store::{PlanStore, StoreFaultPlan, StoreOptions};
@@ -680,11 +680,8 @@ fn resolve_workload(spec: &str) -> Result<Workload, BarracudaError> {
 /// to the search that produced the plan.
 fn served_from(tuned: &TunedWorkload, backend: &str, source: ServedSource) -> ServedTune {
     let timing = format!(
-        "{:12} {:>10} us device  {:>8} GF device  {:>8} GF w/transfers  ({} evals, space {})",
-        tuned.arch_name,
-        fmt_f(tuned.gpu_seconds * 1e6),
-        fmt_f(tuned.gflops_device()),
-        fmt_f(tuned.gflops()),
+        "{}  ({} evals, space {})",
+        fmt_timing(tuned),
         tuned.search.n_evals,
         tuned.search.space_size,
     );

@@ -164,7 +164,7 @@ impl TuneParams {
 }
 
 /// Search bookkeeping of one autotuning run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SearchStats {
     pub n_evals: usize,
     pub batches: usize,

@@ -155,7 +155,7 @@ impl Default for StoreOptions {
 pub struct StoreKey {
     /// Workload fingerprint (FNV-1a over canonical source + dims).
     pub fingerprint: u64,
-    /// Backend cache salt at tuning time (0 for legacy v1 plans).
+    /// Backend cache salt at tuning time.
     pub cache_salt: u64,
     /// Plan schema version the artifact was written with.
     pub schema: u64,
@@ -164,12 +164,13 @@ pub struct StoreKey {
 }
 
 impl StoreKey {
-    /// The key a plan files under.
+    /// The key a plan files under: every plan this build writes is
+    /// current-schema.
     pub fn of_plan(plan: &TunedPlan) -> StoreKey {
         StoreKey {
             fingerprint: plan.fingerprint,
             cache_salt: plan.cache_salt,
-            schema: plan.schema_version,
+            schema: PLAN_SCHEMA_VERSION,
             backend: plan.backend.clone(),
         }
     }
@@ -190,7 +191,10 @@ impl StoreKey {
     }
 
     /// Inverse of [`StoreKey::file_name`]. `None` if the name is not a
-    /// well-formed store entry.
+    /// store entry exactly as `file_name` spells it: another spelling of
+    /// the same key (uppercase hex, a `+` sign, a zero-padded schema, a
+    /// needless or lowercase `%XX` escape) is a different file, so
+    /// accepting it would make `gc` evict a path it never scanned.
     pub fn parse_file_name(name: &str) -> Option<StoreKey> {
         let stem = name.strip_suffix(PLAN_SUFFIX)?;
         let (fp_hex, rest) = (stem.get(..16)?, stem.get(16..)?);
@@ -198,17 +202,15 @@ impl StoreKey {
         let (salt_hex, rest) = (rest.get(..16)?, rest.get(16..)?);
         let rest = rest.strip_prefix("-v")?;
         let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-        if digits == 0 {
-            return None;
-        }
         let (schema_str, rest) = rest.split_at(digits);
         let backend = decode_component(rest.strip_prefix('-')?)?;
-        Some(StoreKey {
+        let key = StoreKey {
             fingerprint: u64::from_str_radix(fp_hex, 16).ok()?,
             cache_salt: u64::from_str_radix(salt_hex, 16).ok()?,
             schema: schema_str.parse().ok()?,
             backend,
-        })
+        };
+        (key.file_name() == name).then_some(key)
     }
 
     /// Whether the entry predates the current plan schema (evictable via
@@ -530,21 +532,6 @@ impl PlanStore {
         Ok(out)
     }
 
-    /// All well-formed entries, sorted by file name (deterministic
-    /// listing order). Strict: a `.plan.json` file whose name does not
-    /// decode to a [`StoreKey`] is a typed [`BarracudaError::Store`].
-    /// Callers that should degrade per-file instead (the `plans` CLI) use
-    /// [`PlanStore::scan`].
-    pub fn entries(&self) -> Result<Vec<StoreEntry>, BarracudaError> {
-        let scan = self.scan()?;
-        if let Some((path, reason)) = scan.problems.first() {
-            return Err(BarracudaError::Store {
-                detail: format!("store entry {}: {reason}", path.display()),
-            });
-        }
-        Ok(scan.entries)
-    }
-
     /// Removes the entry under `key`. Returns whether one existed.
     pub fn evict(&self, key: &StoreKey) -> Result<bool, BarracudaError> {
         let path = self.path_of(key);
@@ -557,14 +544,14 @@ impl PlanStore {
         }
     }
 
-    /// Evicts every entry whose schema version is below `schema`,
-    /// returning the removed entries. `gc(PLAN_SCHEMA_VERSION)` clears
-    /// all stale (pre-current-schema) artifacts. Undecodable file names
-    /// are skipped, not fatal (report them via [`PlanStore::scan`]).
-    pub fn gc(&self, schema: u64) -> Result<Vec<StoreEntry>, BarracudaError> {
+    /// Evicts every entry addressed under a schema older than
+    /// [`PLAN_SCHEMA_VERSION`] (see [`StoreKey::is_stale`]), returning the
+    /// removed entries. Undecodable file names are skipped, not fatal
+    /// (report them via [`PlanStore::scan`]).
+    pub fn gc(&self) -> Result<Vec<StoreEntry>, BarracudaError> {
         let mut evicted = Vec::new();
         for entry in self.scan()?.entries {
-            if entry.key.schema < schema {
+            if entry.key.is_stale() {
                 self.evict(&entry.key)?;
                 evicted.push(entry);
             }
@@ -707,7 +694,7 @@ mod tests {
         let removed = store.gc_corrupt().unwrap();
         assert_eq!(removed, scan.corrupt);
         assert_eq!(store.scan().unwrap().corrupt.len(), 0);
-        assert_eq!(store.entries().unwrap().len(), 1);
+        assert_eq!(store.scan().unwrap().entries.len(), 1);
     }
 
     #[test]
@@ -725,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn undecodable_name_degrades_scan_and_fails_strict_entries() {
+    fn undecodable_name_degrades_scan() {
         let store = temp_store("undecodable");
         std::fs::write(store.root().join("NOT-A-KEY.plan.json"), "{}").unwrap();
         // Tolerant scan: the bad file is a per-file problem, not fatal.
@@ -733,15 +720,48 @@ mod tests {
         assert!(scan.entries.is_empty());
         assert_eq!(scan.problems.len(), 1);
         assert!(scan.problems[0].1.contains("does not decode"));
-        // Strict entries() keeps the typed store error for callers that
-        // need an all-or-nothing view.
-        let err = store.entries().unwrap_err();
-        assert_eq!(err.stage(), "store");
-        assert_eq!(err.exit_code(), 11);
         // Non-plan files are simply ignored.
         let store2 = temp_store("ignored");
         std::fs::write(store2.root().join("README.txt"), "hi").unwrap();
-        assert!(store2.entries().unwrap().is_empty());
+        let scan2 = store2.scan().unwrap();
+        assert!(scan2.entries.is_empty() && scan2.problems.is_empty());
+    }
+
+    #[test]
+    fn non_canonical_names_are_unreadable_and_never_evicted() {
+        let store = temp_store("canonical");
+        let plan = tuned_plan();
+        let path = store.insert(&plan).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let key = StoreKey::of_plan(&plan);
+        let (fp, salt) = (
+            format!("{:016x}", key.fingerprint),
+            format!("{:016x}", key.cache_salt),
+        );
+        assert_ne!(salt, salt.to_uppercase(), "the k20 salt has hex letters");
+        // Copies of the live entry under spellings `file_name` never
+        // writes. Each decoded to a key once, so `plans list` showed it
+        // and `gc` "evicted" a different path, leaving the file behind.
+        let aliases = [
+            format!("{fp}-{salt}-v2-%6B20.plan.json"),
+            format!("{fp}-{salt}-v2-k%2b.plan.json"),
+            format!("+{}-{salt}-v2-k20.plan.json", &fp[1..]),
+            format!("{fp}-{}-v2-k20.plan.json", salt.to_uppercase()),
+            format!("{fp}-{salt}-v03-k20.plan.json"),
+        ];
+        for alias in &aliases {
+            assert_eq!(StoreKey::parse_file_name(alias), None, "{alias}");
+            std::fs::write(store.root().join(alias), &text).unwrap();
+        }
+        let scan = store.scan().unwrap();
+        assert_eq!(scan.entries.len(), 1);
+        assert_eq!(scan.entries[0].path, path);
+        assert_eq!(scan.problems.len(), aliases.len());
+        assert_eq!(store.gc().unwrap(), Vec::new());
+        for alias in &aliases {
+            assert!(store.root().join(alias).exists(), "{alias}");
+        }
+        assert_eq!(store.lookup(&key).unwrap(), Some(plan));
     }
 
     #[test]
@@ -770,7 +790,7 @@ mod tests {
             None,
             "partial must stay invisible"
         );
-        assert!(store.entries().unwrap().is_empty());
+        assert!(store.scan().unwrap().entries.is_empty());
         // The debris exists but only as a .partial temp; gc_corrupt sweeps it.
         let debris: Vec<_> = std::fs::read_dir(store.root())
             .unwrap()
@@ -824,18 +844,27 @@ mod tests {
     fn gc_evicts_only_older_schemas() {
         let store = temp_store("gc");
         let plan = tuned_plan();
-        store.insert(&plan).unwrap();
-        let mut v1 = plan.clone();
-        v1.schema_version = 1;
-        v1.cache_salt = 0;
-        store.insert(&v1).unwrap();
-        assert_eq!(store.entries().unwrap().len(), 2);
-        let evicted = store.gc(PLAN_SCHEMA_VERSION).unwrap();
+        let current = store.insert(&plan).unwrap();
+        // What an older build left behind: a plan at its v1 address.
+        let v1 = StoreKey {
+            schema: 1,
+            cache_salt: 0,
+            ..StoreKey::of_plan(&plan)
+        };
+        let v1_text = plan
+            .to_json_text()
+            .replace("\"schema_version\": 3", "\"schema_version\": 1");
+        std::fs::write(store.path_of(&v1), v1_text).unwrap();
+        assert_eq!(store.scan().unwrap().entries.len(), 2);
+        let evicted = store.gc().unwrap();
         assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].key.schema, 1);
+        assert_eq!(evicted[0].key, v1);
         assert!(evicted[0].key.is_stale());
-        let left = store.entries().unwrap();
+        assert!(!store.path_of(&v1).exists());
+        let left = store.scan().unwrap().entries;
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].key.schema, PLAN_SCHEMA_VERSION);
+        assert!(current.exists(), "gc must keep the current entry");
+        assert_eq!(store.lookup(&StoreKey::of_plan(&plan)).unwrap(), Some(plan));
     }
 }

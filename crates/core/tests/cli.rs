@@ -575,29 +575,16 @@ fn plans_gc_evicts_a_planted_v1_plan() {
     assert!(tune.status.success());
 
     // Plant a v1 copy at its schema-1 address (what a pre-v2 build would
-    // have left behind).
-    let path = bin()
-        .args([
-            "plans",
-            "path",
-            "builtin:eqn1",
-            "--store",
-            store.to_str().unwrap(),
-            "--backend",
-            "k20",
-            "--schema",
-            "1",
-        ])
-        .output()
-        .unwrap();
-    assert!(path.status.success());
-    let v1_path = String::from_utf8_lossy(&path.stdout).trim().to_string();
+    // have left behind: salt zero, schema tag 1).
     let v3_path = std::fs::read_dir(&store)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .find(|p| p.to_string_lossy().contains("-v3-"))
         .unwrap();
+    let v3_name = v3_path.file_name().unwrap().to_string_lossy().into_owned();
+    let (fingerprint, _) = v3_name.split_once('-').unwrap();
+    let v1_path = store.join(format!("{fingerprint}-{:016x}-v1-k20.plan.json", 0));
     let v1_text = std::fs::read_to_string(&v3_path)
         .unwrap()
         .replace("\"schema_version\": 3", "\"schema_version\": 1");
@@ -612,20 +599,14 @@ fn plans_gc_evicts_a_planted_v1_plan() {
     assert!(list_text.contains("[stale schema]"), "{list_text}");
 
     let gc = bin()
-        .args([
-            "plans",
-            "gc",
-            "--store",
-            store.to_str().unwrap(),
-            "--schema-older-than",
-            "2",
-        ])
+        .args(["plans", "gc", "--store", store.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(gc.status.success());
     let gc_text = String::from_utf8_lossy(&gc.stdout);
     assert!(gc_text.contains("evicted 1 stale plan(s)"), "{gc_text}");
-    assert!(!std::path::Path::new(&v1_path).exists());
+    assert!(!v1_path.exists());
+    assert!(v3_path.exists(), "gc must keep the current entry");
 
     let relist = bin()
         .args(["plans", "list", "--store", store.to_str().unwrap()])
@@ -634,6 +615,91 @@ fn plans_gc_evicts_a_planted_v1_plan() {
     let relist_text = String::from_utf8_lossy(&relist.stdout);
     assert!(!relist_text.contains("[stale schema]"), "{relist_text}");
     let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A saved v3 plan edited back into an older layout: `schema_version` set
+/// to `schema` and the fields that schema lacked dropped.
+fn legacy_plan_text(v3: &str, schema: u64) -> String {
+    use barracuda::json::Json;
+    const V2_LACKED: [&str; 5] = [
+        "objective",
+        "pruned_by_memory",
+        "versions_over_budget",
+        "peak_temp_bytes",
+        "rw_bytes",
+    ];
+    const V1_ALSO_LACKED: [&str; 9] = [
+        "cache_salt",
+        "quarantine",
+        "cache_hits",
+        "cache_misses",
+        "per_op_hits",
+        "per_op_misses",
+        "time_hits",
+        "time_misses",
+        "hot",
+    ];
+    let lacked =
+        |key: &str| V2_LACKED.contains(&key) || (schema < 2 && V1_ALSO_LACKED.contains(&key));
+    let Json::Obj(mut top) = Json::parse(v3).unwrap() else {
+        panic!("a plan is a JSON object");
+    };
+    top.retain(|(k, _)| !lacked(k));
+    for (k, v) in top.iter_mut() {
+        match (k.as_str(), v) {
+            ("schema_version", v) => *v = Json::Num(schema as f64),
+            ("provenance", Json::Obj(p)) => p.retain(|(k, _)| !lacked(k)),
+            _ => {}
+        }
+    }
+    Json::Obj(top).to_string_pretty()
+}
+
+#[test]
+fn v1_and_v2_plan_files_are_typed_plan_errors_exit_10() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let saved = dir.join(format!("barracuda_cli_legacy_{pid}.plan.json"));
+    let tune = bin()
+        .args([
+            "tune",
+            "builtin:eqn1",
+            "--quick",
+            "--evals",
+            "20",
+            "--arch",
+            "k20",
+            "--save-plan",
+            saved.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(tune.status.success());
+    let v3 = std::fs::read_to_string(&saved).unwrap();
+    for schema in [1, 2] {
+        let text = legacy_plan_text(&v3, schema);
+        assert!(!text.contains("\"objective\""), "{text}");
+        assert!(!text.contains("peak_temp_bytes"), "{text}");
+        assert_eq!(text.contains("cache_salt"), schema == 2, "{text}");
+        let refusal = format!("unsupported schema version {schema}");
+        let err = barracuda::TunedPlan::from_json_text(&text).unwrap_err();
+        assert_eq!(err.stage(), "plan");
+        assert_eq!(err.exit_code(), 10);
+        assert!(err.to_string().contains(&refusal), "{err}");
+
+        let legacy = dir.join(format!("barracuda_cli_legacy_v{schema}_{pid}.plan.json"));
+        std::fs::write(&legacy, &text).unwrap();
+        let replay = bin()
+            .args(["replay", legacy.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(replay.status.code(), Some(10), "schema {schema}");
+        let stderr = String::from_utf8_lossy(&replay.stderr);
+        assert!(stderr.contains("error[plan]"), "stderr: {stderr}");
+        assert!(stderr.contains(&refusal), "stderr: {stderr}");
+        let _ = std::fs::remove_file(&legacy);
+    }
+    let _ = std::fs::remove_file(&saved);
 }
 
 #[test]

@@ -4,13 +4,15 @@
 //! through a shared [`EvalCache`] must reproduce the tuned time
 //! bit-identically without spending any search evaluations.
 
+use barracuda::cache::HotPathSnapshot;
 use barracuda::pipeline::{TuneParams, WorkloadTuner};
 use barracuda::workload::Workload;
 use barracuda::{
-    BackendSet, BudgetMode, EvalCache, Objective, PlanChoice, PlanProvenance, QuarantineEntry,
-    QuarantineStage, TunedPlan, PLAN_SCHEMA_VERSION,
+    BackendSet, BudgetMode, EvalCache, Objective, PlanChoice, QuarantineEntry, QuarantineStage,
+    SearchStats, TunedPlan,
 };
 use proptest::prelude::*;
+use surf::SearchStatus;
 use tensor::index::uniform_dims;
 
 /// Counter-like fields serialize through `Json::Num` (a double), so the
@@ -51,19 +53,15 @@ fn any_string() -> impl Strategy<Value = String> {
         .prop_map(|ixs| ixs.into_iter().map(|i| CHARS[i]).collect())
 }
 
-fn provenance() -> impl Strategy<Value = PlanProvenance> {
+/// Any search record a plan can carry: every persisted counter over its
+/// full on-disk range. `evaluated_times` and `duplicate_candidates` are
+/// never persisted, so they stay empty and zero.
+fn search() -> impl Strategy<Value = SearchStats> {
     (
         (counter(), counter(), any_u128(), counter()),
         (finite_f64(), counter(), counter(), counter()),
-        (
-            finite_f64(),
-            finite_f64(),
-            finite_f64(),
-            any_bool(),
-            any_string(),
-        ),
-        // Schema-v2 memo counters + hot-path nanoseconds (strings on
-        // disk, so the full u64 range must survive).
+        // Memo counters, then the hot-path nanoseconds (strings on disk,
+        // so the full u64 range must survive).
         (
             counter(),
             counter(),
@@ -78,48 +76,62 @@ fn provenance() -> impl Strategy<Value = PlanProvenance> {
             (0u64..=u64::MAX),
             (0u64..=u64::MAX),
         ),
-        // Schema-v3 objective/memory provenance (byte totals are strings
-        // on disk, so the full u64 range must survive).
+        // Memory statistics (byte totals are strings on disk, so the full
+        // u64 range must survive).
         (counter(), counter(), (0u64..=u64::MAX), (0u64..=u64::MAX)),
     )
         .prop_map(
             |(
                 (n_evals, batches, space_size, pool_size),
                 (wall_s, threads, quarantined_versions, quarantined_configs),
-                (cache_hit_rate, per_op_hit_rate, time_hit_rate, degraded, status),
                 (cache_hits, cache_misses, per_op_hits, per_op_misses, time_hits, time_misses),
-                (hot_decode_ns, hot_map_ns, hot_sim_ns, hot_predict_ns),
+                (decode_ns, map_ns, sim_ns, predict_ns),
                 (pruned_by_memory, versions_over_budget, peak_temp_bytes, rw_bytes),
-            )| PlanProvenance {
+            )| SearchStats {
                 n_evals,
                 batches,
+                evaluated_times: Vec::new(),
                 space_size,
                 pool_size,
+                cache_hits,
+                cache_misses,
                 wall_s,
                 threads,
                 quarantined_versions,
                 quarantined_configs,
-                cache_hit_rate,
-                per_op_hit_rate,
-                time_hit_rate,
-                cache_hits,
-                cache_misses,
                 per_op_hits,
                 per_op_misses,
                 time_hits,
                 time_misses,
-                hot_decode_ns,
-                hot_map_ns,
-                hot_sim_ns,
-                hot_predict_ns,
+                duplicate_candidates: 0,
                 pruned_by_memory,
                 versions_over_budget,
                 peak_temp_bytes,
                 rw_bytes,
-                degraded,
-                status,
+                hot: HotPathSnapshot {
+                    decode_ns,
+                    map_ns,
+                    sim_ns,
+                    predict_ns,
+                },
             },
         )
+}
+
+/// Complete, or degraded with any reason (a reason that itself starts
+/// with `degraded: ` included).
+fn status() -> impl Strategy<Value = SearchStatus> {
+    (any_bool(), any_bool(), any_string()).prop_map(|(degraded, prefixed, reason)| {
+        if !degraded {
+            SearchStatus::Complete
+        } else if prefixed {
+            SearchStatus::Degraded {
+                reason: format!("degraded: {reason}"),
+            }
+        } else {
+            SearchStatus::Degraded { reason }
+        }
+    })
 }
 
 /// Any objective: arbitrary finite non-negative weights (bit patterns must
@@ -192,7 +204,7 @@ fn plan() -> impl Strategy<Value = TunedPlan> {
         ),
         (finite_f64(), finite_f64(), (0u64..=u64::MAX)),
         proptest::collection::vec(quarantine_entry(), 0..4),
-        (provenance(), objective()),
+        (search(), status(), objective()),
     )
         .prop_map(
             |(
@@ -201,9 +213,8 @@ fn plan() -> impl Strategy<Value = TunedPlan> {
                 choices,
                 (gpu_seconds, transfer_seconds, flops),
                 quarantine,
-                (provenance, objective),
+                (search, status, objective),
             )| TunedPlan {
-                schema_version: PLAN_SCHEMA_VERSION,
                 workload_name,
                 source,
                 dims,
@@ -217,8 +228,9 @@ fn plan() -> impl Strategy<Value = TunedPlan> {
                 transfer_seconds,
                 flops,
                 quarantine,
-                provenance,
                 objective,
+                search,
+                status,
             },
         )
 }
@@ -238,44 +250,8 @@ proptest! {
         prop_assert_eq!(&plan, &back);
         prop_assert_eq!(plan.gpu_seconds.to_bits(), back.gpu_seconds.to_bits());
         prop_assert_eq!(plan.transfer_seconds.to_bits(), back.transfer_seconds.to_bits());
-        prop_assert_eq!(plan.provenance.wall_s.to_bits(), back.provenance.wall_s.to_bits());
-    }
-
-    /// The legacy v1 layout still round-trips: a plan downgraded to
-    /// schema 1 (v2-only fields zeroed, as the v1 writer emits) parses
-    /// back identically and reports itself stale.
-    #[test]
-    fn v1_layout_roundtrip_is_lossless(plan in plan()) {
-        let mut v1 = plan;
-        v1.schema_version = 1;
-        v1.cache_salt = 0;
-        v1.quarantine.clear();
-        v1.provenance.cache_hits = 0;
-        v1.provenance.cache_misses = 0;
-        v1.provenance.per_op_hits = 0;
-        v1.provenance.per_op_misses = 0;
-        v1.provenance.time_hits = 0;
-        v1.provenance.time_misses = 0;
-        v1.provenance.hot_decode_ns = 0;
-        v1.provenance.hot_map_ns = 0;
-        v1.provenance.hot_sim_ns = 0;
-        v1.provenance.hot_predict_ns = 0;
-        // v3-only fields: the v1 writer omits them, the reader defaults them.
-        v1.provenance.pruned_by_memory = 0;
-        v1.provenance.versions_over_budget = 0;
-        v1.provenance.peak_temp_bytes = 0;
-        v1.provenance.rw_bytes = 0;
-        v1.objective = Objective::time_only();
-        let text = v1.to_json_text();
-        prop_assert!(!text.contains("cache_salt"));
-        let back = match TunedPlan::from_json_text(&text) {
-            Ok(p) => p,
-            Err(e) => return Err(proptest::test_runner::TestCaseError::fail(format!(
-                "v1 reparse failed: {e}\n{text}"
-            ))),
-        };
-        prop_assert!(back.is_stale());
-        prop_assert_eq!(&v1, &back);
+        prop_assert_eq!(plan.search.wall_s.to_bits(), back.search.wall_s.to_bits());
+        prop_assert_eq!(back.to_json_text(), text, "re-writing must reproduce the bytes");
     }
 }
 

@@ -183,8 +183,8 @@ fn concurrent_same_key_inserts_never_tear() {
     let plan_a = base_plan().clone();
     let mut plan_b = plan_a.clone();
     // Same store key (params are not part of the address), different
-    // bytes: provenance wall time differs between the two artifacts.
-    plan_b.provenance.wall_s += 1.0;
+    // bytes: the search wall time differs between the two artifacts.
+    plan_b.search.wall_s += 1.0;
     let (text_a, text_b) = (plan_a.to_json_text(), plan_b.to_json_text());
     assert_ne!(text_a, text_b);
     assert_eq!(StoreKey::of_plan(&plan_a), StoreKey::of_plan(&plan_b));

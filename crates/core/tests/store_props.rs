@@ -39,6 +39,43 @@ fn any_key() -> impl Strategy<Value = StoreKey> {
         })
 }
 
+/// The characters a store file name is spelled with, minus the letters
+/// of the suffix: hex digits in both cases, `%`, `+`, `-` and `v`.
+const NAME_CHARS: &[u8] = b"0123456789abcdefABCDEF%+-v";
+
+/// The file name of a key whose backend is drawn from `NAME_CHARS`, then
+/// up to four characters overwritten or inserted from the same alphabet:
+/// mostly spellings `file_name` never writes (uppercase or `+`-signed hex,
+/// a zero-padded schema, a needless or lowercase `%XX` escape).
+fn near_miss_name() -> impl Strategy<Value = String> {
+    (
+        (0u64..=u64::MAX),
+        (0u64..=u64::MAX),
+        (0u64..5),
+        proptest::collection::vec(0usize..NAME_CHARS.len(), 0..6),
+        proptest::collection::vec((0usize..64, 0usize..NAME_CHARS.len(), 0u8..2), 0..5),
+    )
+        .prop_map(|(fingerprint, cache_salt, schema, backend, edits)| {
+            let backend = backend.iter().map(|&i| NAME_CHARS[i] as char).collect();
+            let key = StoreKey {
+                fingerprint,
+                cache_salt,
+                schema,
+                backend,
+            };
+            let mut name = key.file_name().into_bytes();
+            for (at, c, insert) in edits {
+                if insert == 1 {
+                    name.insert(at % (name.len() + 1), NAME_CHARS[c]);
+                } else {
+                    let at = at % name.len();
+                    name[at] = NAME_CHARS[c];
+                }
+            }
+            String::from_utf8(name).expect("file names and edits are ASCII")
+        })
+}
+
 proptest! {
     /// `file_name` → `parse_file_name` is the identity for any key, and
     /// the emitted name is always a single safe path component.
@@ -84,6 +121,15 @@ proptest! {
         let a = key(lower).file_name();
         let b = key(upper).file_name();
         prop_assert_ne!(a.to_lowercase(), b.to_lowercase());
+    }
+
+    /// Only the canonical spelling decodes: a name that parses to a key is
+    /// exactly that key's `file_name`, so `gc` evicts the file it scanned.
+    #[test]
+    fn only_canonical_names_decode(name in near_miss_name()) {
+        if let Some(key) = StoreKey::parse_file_name(&name) {
+            prop_assert_eq!(key.file_name(), name);
+        }
     }
 }
 
