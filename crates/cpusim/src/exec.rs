@@ -2,13 +2,15 @@
 //!
 //! Executes each statement as an explicit loop nest over precomputed
 //! strides — structurally the same code a C compiler would see, and
-//! independent of the einsum oracle in the `tensor` crate.
+//! independent of the einsum oracle in the `tensor` crate. Buffers come
+//! from the shared runner, [`TcrProgram::run`]; this module supplies only
+//! the loop nest (and the stride helper the other executors share).
 
 use tcr::program::{TcrOp, TcrProgram};
 use tensor::Tensor;
 
 /// Stride of each loop variable for one array access (0 = invariant).
-fn strides_for(
+pub(crate) fn strides_for(
     program: &TcrProgram,
     array_id: usize,
     loop_vars: &[tensor::IndexVar],
@@ -74,24 +76,11 @@ pub fn execute_op(program: &TcrProgram, op: &TcrOp, buffers: &mut [Vec<f64>]) {
 /// Executes the whole program sequentially. `inputs[k]` matches
 /// `program.input_ids()[k]`.
 pub fn execute_sequential(program: &TcrProgram, inputs: &[&Tensor]) -> Tensor {
-    let input_ids = program.input_ids();
-    assert_eq!(inputs.len(), input_ids.len(), "input count mismatch");
-    let mut buffers: Vec<Vec<f64>> = program
-        .arrays
-        .iter()
-        .map(|a| vec![0.0; a.len(&program.dims)])
-        .collect();
-    for (k, id) in input_ids.iter().enumerate() {
-        buffers[*id].copy_from_slice(inputs[k].data());
-    }
-    for op in &program.ops {
-        execute_op(program, op, &mut buffers);
-    }
-    let out_id = program.output_id();
-    Tensor::from_vec(
-        program.arrays[out_id].shape(&program.dims),
-        std::mem::take(&mut buffers[out_id]),
-    )
+    program.run(inputs, |buffers| {
+        for op in &program.ops {
+            execute_op(program, op, buffers);
+        }
+    })
 }
 
 #[cfg(test)]

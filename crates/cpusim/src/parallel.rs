@@ -5,25 +5,13 @@
 //! loop is chunked across a crossbeam scoped-thread team; each thread owns a
 //! disjoint contiguous slice of the output (the outermost output index is
 //! the slowest-varying one in row-major layout), so no synchronization is
-//! needed beyond the implicit barrier between statements.
+//! needed beyond the implicit barrier between statements. Buffers come
+//! from the shared runner, [`TcrProgram::run`]; this module supplies only
+//! the threaded loop nest.
 
+use crate::exec::strides_for;
 use tcr::program::{TcrOp, TcrProgram};
 use tensor::Tensor;
-
-fn strides_for(
-    program: &TcrProgram,
-    array_id: usize,
-    loop_vars: &[tensor::IndexVar],
-) -> Vec<usize> {
-    loop_vars
-        .iter()
-        .map(|v| {
-            program.arrays[array_id]
-                .stride_of(v, &program.dims)
-                .unwrap_or(0)
-        })
-        .collect()
-}
 
 /// Executes one statement with `threads` workers splitting the outermost
 /// output loop.
@@ -137,24 +125,11 @@ pub fn execute_op_parallel(
 
 /// Executes the whole program with a thread team per statement.
 pub fn execute_parallel(program: &TcrProgram, inputs: &[&Tensor], threads: usize) -> Tensor {
-    let input_ids = program.input_ids();
-    assert_eq!(inputs.len(), input_ids.len(), "input count mismatch");
-    let mut buffers: Vec<Vec<f64>> = program
-        .arrays
-        .iter()
-        .map(|a| vec![0.0; a.len(&program.dims)])
-        .collect();
-    for (k, id) in input_ids.iter().enumerate() {
-        buffers[*id].copy_from_slice(inputs[k].data());
-    }
-    for op in &program.ops {
-        execute_op_parallel(program, op, &mut buffers, threads);
-    }
-    let out_id = program.output_id();
-    Tensor::from_vec(
-        program.arrays[out_id].shape(&program.dims),
-        std::mem::take(&mut buffers[out_id]),
-    )
+    program.run(inputs, |buffers| {
+        for op in &program.ops {
+            execute_op_parallel(program, op, buffers, threads);
+        }
+    })
 }
 
 #[cfg(test)]

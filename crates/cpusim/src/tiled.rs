@@ -5,28 +5,16 @@
 //! (tile, intra-tile) pairs and walks tiles in the outer odometer so the
 //! working set of each tile stays cache-resident — a genuinely faster way
 //! to run the big contractions on the host, used by the Criterion
-//! machinery benchmarks as the "tuned CPU" reference point.
+//! machinery benchmarks as the "tuned CPU" reference point. Buffers come
+//! from the shared runner, [`TcrProgram::run`]; this module supplies only
+//! the tiled loop nest.
 
+use crate::exec::strides_for;
 use tcr::program::{TcrOp, TcrProgram};
 use tensor::Tensor;
 
 /// Loops longer than this get tiled.
 pub const DEFAULT_TILE: usize = 32;
-
-fn strides_for(
-    program: &TcrProgram,
-    array_id: usize,
-    loop_vars: &[tensor::IndexVar],
-) -> Vec<usize> {
-    loop_vars
-        .iter()
-        .map(|v| {
-            program.arrays[array_id]
-                .stride_of(v, &program.dims)
-                .unwrap_or(0)
-        })
-        .collect()
-}
 
 /// Executes one statement with loop tiling at `tile`.
 pub fn execute_op_tiled(program: &TcrProgram, op: &TcrOp, buffers: &mut [Vec<f64>], tile: usize) {
@@ -112,24 +100,11 @@ pub fn execute_op_tiled(program: &TcrProgram, op: &TcrOp, buffers: &mut [Vec<f64
 
 /// Executes the whole program with tiling.
 pub fn execute_tiled(program: &TcrProgram, inputs: &[&Tensor], tile: usize) -> Tensor {
-    let input_ids = program.input_ids();
-    assert_eq!(inputs.len(), input_ids.len(), "input count mismatch");
-    let mut buffers: Vec<Vec<f64>> = program
-        .arrays
-        .iter()
-        .map(|a| vec![0.0; a.len(&program.dims)])
-        .collect();
-    for (k, id) in input_ids.iter().enumerate() {
-        buffers[*id].copy_from_slice(inputs[k].data());
-    }
-    for op in &program.ops {
-        execute_op_tiled(program, op, &mut buffers, tile);
-    }
-    let out_id = program.output_id();
-    Tensor::from_vec(
-        program.arrays[out_id].shape(&program.dims),
-        std::mem::take(&mut buffers[out_id]),
-    )
+    program.run(inputs, |buffers| {
+        for op in &program.ops {
+            execute_op_tiled(program, op, buffers, tile);
+        }
+    })
 }
 
 #[cfg(test)]

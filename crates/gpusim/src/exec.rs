@@ -3,10 +3,12 @@
 //!
 //! This is the correctness half of the simulator. It shares no code with the
 //! reference einsum evaluator, so agreement between the two is meaningful
-//! evidence that a transformation is semantics-preserving.
+//! evidence that a transformation is semantics-preserving. Buffers come
+//! from the shared runner, [`TcrProgram::run`], that every executor uses;
+//! this module supplies only the kernel interpreter.
 
 use tcr::mapping::MappedKernel;
-use tcr::program::{ArrayKind, TcrProgram};
+use tcr::program::TcrProgram;
 use tensor::Tensor;
 
 /// Executes one kernel over its whole grid. `buffers[i]` is the storage of
@@ -113,40 +115,19 @@ pub fn execute_kernel(kernel: &MappedKernel, buffers: &mut [Vec<f64>]) {
     buffers[kernel.output.array] = out;
 }
 
-/// Executes a whole mapped program: allocates buffers, uploads inputs, runs
-/// every kernel (temporaries stay "device-resident"), returns the output
+/// Executes a whole mapped program: runs every kernel over the program's
+/// buffers (temporaries stay "device-resident") and returns the output
 /// tensor. `inputs[k]` corresponds to `program.input_ids()[k]`.
 pub fn execute_program(
     program: &TcrProgram,
     kernels: &[MappedKernel],
     inputs: &[&Tensor],
 ) -> Tensor {
-    let input_ids = program.input_ids();
-    assert_eq!(inputs.len(), input_ids.len(), "input count mismatch");
-    let mut buffers: Vec<Vec<f64>> = program
-        .arrays
-        .iter()
-        .map(|a| vec![0.0; a.len(&program.dims)])
-        .collect();
-    for (k, id) in input_ids.iter().enumerate() {
-        assert_eq!(
-            inputs[k].shape(),
-            &program.arrays[*id].shape(&program.dims),
-            "input {k} shape mismatch"
-        );
-        buffers[*id].copy_from_slice(inputs[k].data());
-    }
-    for kernel in kernels {
-        execute_kernel(kernel, &mut buffers);
-    }
-    let out_id = program.output_id();
-    let shape = program.arrays[out_id].shape(&program.dims);
-    debug_assert_eq!(
-        program.arrays[out_id].kind,
-        ArrayKind::Output,
-        "output id resolves to the Output array"
-    );
-    Tensor::from_vec(shape, std::mem::take(&mut buffers[out_id]))
+    program.run(inputs, |buffers| {
+        for kernel in kernels {
+            execute_kernel(kernel, buffers);
+        }
+    })
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! interprets exactly that structure; the timing model applies the same
 //! per-architecture bounds as `timing` but accounts the temporaries as
 //! shared-memory (free of global traffic) and charges a single launch.
+//! Buffers come from the shared runner, [`TcrProgram::run`], like every
+//! other executor's.
 
 use crate::arch::GpuArch;
 use tcr::fusion::{FusedKernel, FusedOperand, FusionPhase};
@@ -107,29 +109,14 @@ pub fn execute_fused(kernel: &FusedKernel, program: &TcrProgram, buffers: &mut [
     });
 }
 
-/// Full program execution through the fused kernel: uploads inputs, runs,
-/// returns the output tensor (mirrors `execute_program`).
+/// Full program execution through the fused kernel on the shared runner,
+/// [`TcrProgram::run`]: returns the output tensor.
 pub fn execute_fused_program(
     kernel: &FusedKernel,
     program: &TcrProgram,
     inputs: &[&Tensor],
 ) -> Tensor {
-    let input_ids = program.input_ids();
-    assert_eq!(inputs.len(), input_ids.len(), "input count mismatch");
-    let mut buffers: Vec<Vec<f64>> = program
-        .arrays
-        .iter()
-        .map(|a| vec![0.0; a.len(&program.dims)])
-        .collect();
-    for (k, id) in input_ids.iter().enumerate() {
-        buffers[*id].copy_from_slice(inputs[k].data());
-    }
-    execute_fused(kernel, program, &mut buffers);
-    let out_id = program.output_id();
-    Tensor::from_vec(
-        program.arrays[out_id].shape(&program.dims),
-        std::mem::take(&mut buffers[out_id]),
-    )
+    program.run(inputs, |buffers| execute_fused(kernel, program, buffers))
 }
 
 /// Timing of a fused kernel.

@@ -228,6 +228,37 @@ impl TcrProgram {
         }
     }
 
+    /// Runs the program on real buffers: allocates one zeroed buffer per
+    /// array, uploads `inputs` (`inputs[k]` is array `input_ids()[k]`),
+    /// hands every buffer to `body` and returns the output array as a
+    /// tensor. Every executor is a `body` around this one runner: the
+    /// `cpusim` loop nests and the `gpusim` kernel interpreters differ only
+    /// in their loops. Panics when `inputs` does not match the program's
+    /// input arrays in count or shape.
+    pub fn run(&self, inputs: &[&Tensor], body: impl FnOnce(&mut [Vec<f64>])) -> Tensor {
+        let input_ids = self.input_ids();
+        assert_eq!(inputs.len(), input_ids.len(), "input count mismatch");
+        let mut buffers: Vec<Vec<f64>> = self
+            .arrays
+            .iter()
+            .map(|a| vec![0.0; a.len(&self.dims)])
+            .collect();
+        for (k, id) in input_ids.iter().enumerate() {
+            assert_eq!(
+                inputs[k].shape(),
+                &self.arrays[*id].shape(&self.dims),
+                "input {k} shape mismatch"
+            );
+            buffers[*id].copy_from_slice(inputs[k].data());
+        }
+        body(&mut buffers);
+        let out_id = self.output_id();
+        Tensor::from_vec(
+            self.arrays[out_id].shape(&self.dims),
+            std::mem::take(&mut buffers[out_id]),
+        )
+    }
+
     /// Reference execution of the full program: runs every statement with
     /// the einsum oracle. `inputs[k]` corresponds to `input_ids()[k]`.
     pub fn evaluate(&self, inputs: &[&Tensor]) -> Tensor {
