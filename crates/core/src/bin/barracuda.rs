@@ -728,17 +728,7 @@ fn cmd_tune(w: &Workload, o: &Options) -> Result<(), CliError> {
             );
         }
         if o.validate {
-            let inputs = w.random_inputs(1);
-            let expect = w.evaluate_reference(&inputs)?;
-            let got = tuned.execute(w, &inputs)?;
-            for ((n1, t1), (_, t2)) in expect.iter().zip(&got) {
-                if !t1.approx_eq(t2, 1e-10) {
-                    return Err(CliError::Other(format!(
-                        "validation FAILED for output {n1}"
-                    )));
-                }
-            }
-            println!("  validation: OK (matches the reference evaluator)");
+            validate(w, tuned)?;
         }
         if o.fused {
             for alt in barracuda::fusionopt::fuse_alternatives(tuned, &arch)
@@ -828,6 +818,23 @@ fn cmd_tune(w: &Workload, o: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--validate`: runs the tuned kernels on `gpusim`'s functional executor
+/// and compares every output with the reference evaluator.
+fn validate(w: &Workload, tuned: &TunedWorkload) -> Result<(), CliError> {
+    let inputs = w.random_inputs(1);
+    let expect = w.evaluate_reference(&inputs)?;
+    let got = tuned.execute(w, &inputs)?;
+    for ((n1, t1), (_, t2)) in expect.iter().zip(&got) {
+        if !t1.approx_eq(t2, 1e-10) {
+            return Err(CliError::Other(format!(
+                "validation FAILED for output {n1}"
+            )));
+        }
+    }
+    println!("  validation: OK (matches the reference evaluator)");
+    Ok(())
+}
+
 /// Re-applies a saved plan: fingerprint-checked re-mapping and re-timing,
 /// zero search evaluations. With `--store`, the positional argument is a
 /// workload spec and the plan comes from the store's content address.
@@ -884,17 +891,7 @@ fn report_replay(
         println!("  saved search was degraded: degraded: {reason}");
     }
     if o.validate {
-        let inputs = w.random_inputs(1);
-        let expect = w.evaluate_reference(&inputs)?;
-        let got = tuned.execute(w, &inputs)?;
-        for ((n1, t1), (_, t2)) in expect.iter().zip(&got) {
-            if !t1.approx_eq(t2, 1e-10) {
-                return Err(CliError::Other(format!(
-                    "validation FAILED for output {n1}"
-                )));
-            }
-        }
-        println!("  validation: OK (matches the reference evaluator)");
+        validate(w, tuned)?;
     }
     match o.emit.as_deref() {
         Some("cuda") => println!("{}", tuned.cuda_source()),

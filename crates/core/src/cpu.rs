@@ -2,9 +2,13 @@
 //!
 //! Wraps the `cpusim` crate: the *timing* comes from the deterministic
 //! Haswell model (so tables reproduce bit-identically), while the *values*
-//! can be computed with the real executors for validation.
+//! can be computed with the real executors for validation. Whole-workload
+//! execution is the shared statement chain (`stages::search::execute_chain`,
+//! also behind [`crate::pipeline::TunedWorkload::execute`]) around the
+//! `cpusim` program executors.
 
 use crate::error::BarracudaError;
+use crate::stages::search::execute_chain;
 use crate::workload::Workload;
 use cpusim::model::{time_cpu, CpuModel, CpuTiming};
 use octopi::enumerate_factorizations;
@@ -12,22 +16,10 @@ use tcr::TcrProgram;
 use tensor::Tensor;
 
 /// Best-flop (strength-reduced) per-statement programs: what a reasonable
-/// hand-written sequential implementation computes.
+/// hand-written sequential implementation computes. Panics on a lowering
+/// failure; [`try_cpu_programs`] reports it typed instead.
 pub fn cpu_programs(workload: &Workload) -> Vec<TcrProgram> {
-    workload
-        .statements
-        .iter()
-        .enumerate()
-        .map(|(i, st)| {
-            let fs = enumerate_factorizations(st, &workload.dims);
-            TcrProgram::from_factorization(
-                format!("{}_{}", workload.name, i),
-                st,
-                &fs[0],
-                &workload.dims,
-            )
-        })
-        .collect()
+    try_cpu_programs(workload).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible [`cpu_programs`]: a lowering failure becomes a typed
@@ -83,55 +75,23 @@ pub fn cpu_gflops(workload: &Workload, model: &CpuModel, threads: usize) -> f64 
     t.flops as f64 / t.time_s / 1e9
 }
 
-/// Really executes the workload on the CPU (sequential or threaded),
-/// chaining statements through a name environment. Used for validation and
-/// Criterion benchmarks of the real executors.
+/// Really executes the workload on the CPU (sequential at one thread,
+/// threaded otherwise) over the best-flop programs of [`try_cpu_programs`].
+/// Used for validation and Criterion benchmarks of the real executors.
+/// Fails when `inputs` is missing a tensor some statement consumes.
 pub fn execute_workload_cpu(
     workload: &Workload,
     inputs: &[(String, Tensor)],
     threads: usize,
-) -> Vec<(String, Tensor)> {
-    let programs = cpu_programs(workload);
-    let mut env: std::collections::BTreeMap<String, Tensor> = inputs.iter().cloned().collect();
-    for (program, st) in programs.iter().zip(&workload.statements) {
-        let operands: Vec<&Tensor> = program
-            .input_ids()
-            .iter()
-            .map(|&id| {
-                let name = &program.arrays[id].name;
-                env.get(name)
-                    .unwrap_or_else(|| panic!("missing input tensor {name}"))
-            })
-            .collect();
-        let fresh = if threads <= 1 {
-            cpusim::execute_sequential(program, &operands)
+) -> Result<Vec<(String, Tensor)>, BarracudaError> {
+    let programs = try_cpu_programs(workload)?;
+    execute_chain(workload, &programs, inputs, |sidx, operands| {
+        if threads <= 1 {
+            cpusim::execute_sequential(&programs[sidx], operands)
         } else {
-            cpusim::execute_parallel(program, &operands, threads)
-        };
-        match env.entry(st.output.name.clone()) {
-            std::collections::btree_map::Entry::Occupied(mut o) if st.accumulate => {
-                for (a, b) in o.get_mut().data_mut().iter_mut().zip(fresh.data()) {
-                    *a += b;
-                }
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                *o.get_mut() = fresh;
-            }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(fresh);
-            }
+            cpusim::execute_parallel(&programs[sidx], operands, threads)
         }
-    }
-    workload
-        .external_outputs()
-        .into_iter()
-        .map(|name| {
-            let t = env
-                .remove(&name)
-                .unwrap_or_else(|| panic!("external output {name} was never computed"));
-            (name, t)
-        })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -154,7 +114,7 @@ mod tests {
         let inputs = w.random_inputs(7);
         let expect = w.evaluate_reference(&inputs).unwrap();
         for threads in [1, 4] {
-            let got = execute_workload_cpu(&w, &inputs, threads);
+            let got = execute_workload_cpu(&w, &inputs, threads).unwrap();
             assert!(
                 expect[0].1.approx_eq(&got[0].1, 1e-10),
                 "threads = {threads}"

@@ -5,9 +5,14 @@
 //! shared-memory temporary slices — see `tcr::fusion`) and compares
 //! simulated times, reporting whichever wins. For launch-bound chains like
 //! Eqn. (1), fusion is the difference between three kernel launches and
-//! one.
+//! one. Executing with fusion is the shared statement chain
+//! (`stages::search::execute_chain`, also behind
+//! [`TunedWorkload::execute`]) with the fused kernel swapped in per
+//! statement.
 
+use crate::error::BarracudaError;
 use crate::pipeline::TunedWorkload;
+use crate::stages::search::execute_chain;
 use crate::workload::Workload;
 use gpusim::GpuArch;
 use tcr::fusion::{build_fused, validate_fused, FusedKernel};
@@ -75,49 +80,23 @@ pub fn best_of_both_seconds(tuned: &TunedWorkload, arch: &GpuArch) -> f64 {
         .sum()
 }
 
-/// Executes a tuned workload with fused kernels where available, for
-/// correctness validation (mirrors `TunedWorkload::execute`).
+/// Executes a tuned workload with fused kernels where available and the
+/// tuned kernels elsewhere, for correctness validation. Fails when
+/// `inputs` is missing a tensor some statement consumes.
 pub fn execute_with_fusion(
     tuned: &TunedWorkload,
     workload: &Workload,
     arch: &GpuArch,
     inputs: &[(String, Tensor)],
-) -> Vec<(String, Tensor)> {
+) -> Result<Vec<(String, Tensor)>, BarracudaError> {
     let alts = fuse_alternatives(tuned, arch);
-    let mut env: std::collections::BTreeMap<String, Tensor> = inputs.iter().cloned().collect();
-    for (sidx, st) in workload.statements.iter().enumerate() {
+    execute_chain(workload, &tuned.programs, inputs, |sidx, operands| {
         let program = &tuned.programs[sidx];
-        let operands: Vec<&Tensor> = program
-            .input_ids()
-            .iter()
-            .map(|&id| &env[&program.arrays[id].name])
-            .collect();
-        let fresh = match &alts[sidx] {
-            Some(alt) => gpusim::execute_fused_program(&alt.kernel, program, &operands),
-            None => gpusim::execute_program(program, &tuned.kernels[sidx], &operands),
-        };
-        match env.entry(st.output.name.clone()) {
-            std::collections::btree_map::Entry::Occupied(mut o) if st.accumulate => {
-                for (a, b) in o.get_mut().data_mut().iter_mut().zip(fresh.data()) {
-                    *a += b;
-                }
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => *o.get_mut() = fresh,
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(fresh);
-            }
+        match &alts[sidx] {
+            Some(alt) => gpusim::execute_fused_program(&alt.kernel, program, operands),
+            None => gpusim::execute_program(program, &tuned.kernels[sidx], operands),
         }
-    }
-    workload
-        .external_outputs()
-        .into_iter()
-        .map(|name| {
-            let t = env
-                .remove(&name)
-                .unwrap_or_else(|| panic!("external output {name} was never computed"));
-            (name, t)
-        })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -149,7 +128,7 @@ mod tests {
         let tuned = tuner.autotune(&arch, TuneParams::quick()).unwrap();
         let inputs = w.random_inputs(13);
         let expect = w.evaluate_reference(&inputs).unwrap();
-        let got = execute_with_fusion(&tuned, &w, &arch, &inputs);
+        let got = execute_with_fusion(&tuned, &w, &arch, &inputs).unwrap();
         assert!(expect[0].1.approx_eq(&got[0].1, 1e-10));
     }
 

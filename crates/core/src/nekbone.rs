@@ -99,7 +99,8 @@ impl NekboneOperator {
                 ("u".to_string(), u.clone()),
             ],
             threads,
-        );
+        )
+        .unwrap_or_else(|e| panic!("lg3 failed on the operator's own inputs: {e}"));
         // Pointwise metric scaling: ur *= g0, us *= g1, ut *= g2.
         let mut scaled: Vec<(String, Tensor)> = Vec::with_capacity(3);
         for (k, (name, grad)) in grads.into_iter().enumerate() {
@@ -110,7 +111,8 @@ impl NekboneOperator {
             scaled.push((name, t));
         }
         scaled.push(("D".to_string(), self.d.clone()));
-        let w = execute_workload_cpu(&self.lg3t, &scaled, threads);
+        let w = execute_workload_cpu(&self.lg3t, &scaled, threads)
+            .unwrap_or_else(|e| panic!("lg3t failed on the operator's own inputs: {e}"));
         let mut out = w
             .into_iter()
             .next()

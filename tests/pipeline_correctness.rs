@@ -57,7 +57,7 @@ fn cpu_executors_match_oracle_on_every_family() {
         let inputs = w.random_inputs(23);
         let expect = w.evaluate_reference(&inputs).unwrap();
         for threads in [1, 4] {
-            let got = barracuda::cpu::execute_workload_cpu(&w, &inputs, threads);
+            let got = barracuda::cpu::execute_workload_cpu(&w, &inputs, threads).unwrap();
             for ((n1, t1), (n2, t2)) in expect.iter().zip(&got) {
                 assert_eq!(n1, n2);
                 assert!(
@@ -171,11 +171,11 @@ fn signed_statements_flow_through_every_executor() {
             "GPU executor wrong on {}",
             arch.name
         );
-        let fused = barracuda::fusionopt::execute_with_fusion(&tuned, &w, &arch, &inputs);
+        let fused = barracuda::fusionopt::execute_with_fusion(&tuned, &w, &arch, &inputs).unwrap();
         assert!(expect[0].1.approx_eq(&fused[0].1, 1e-10), "fused wrong");
     }
     for threads in [1, 3] {
-        let got = barracuda::cpu::execute_workload_cpu(&w, &inputs, threads);
+        let got = barracuda::cpu::execute_workload_cpu(&w, &inputs, threads).unwrap();
         assert!(expect[0].1.approx_eq(&got[0].1, 1e-10), "CPU wrong");
     }
 }
