@@ -15,7 +15,7 @@ use barracuda::workload::Workload;
 use gpusim::GpuArch;
 use surf::random_search;
 use tcr::mapping::map_kernel;
-use tcr::space::{LoopSel, OpConfig};
+use tcr::space::OpConfig;
 
 /// Slowdown factors relative to the fully-tuned configuration (>1 = the
 /// ablated variant is slower, i.e. the feature helps).
@@ -57,20 +57,15 @@ fn remap(
     default_order: bool,
     unroll_one: bool,
 ) -> tcr::MappedKernel {
-    let op = &program.ops[k.op_index];
+    let mapped = k.config();
     let interior: Vec<tensor::IndexVar> = if default_order {
         program
-            .loop_vars(op)
+            .loop_vars(&program.ops[k.op_index])
             .into_iter()
-            .filter(|v| {
-                *v != k.tx.0
-                    && k.ty.as_ref().map(|(t, _)| t) != Some(v)
-                    && k.bx.as_ref().map(|(b, _)| b) != Some(v)
-                    && k.by.as_ref().map(|(b, _)| b) != Some(v)
-            })
+            .filter(|v| !mapped.mapped_vars_iter().any(|m| m == v))
             .collect()
     } else {
-        k.interior.iter().map(|l| l.var.clone()).collect()
+        mapped.interior.clone()
     };
     let unroll = if unroll_one {
         1
@@ -82,25 +77,9 @@ fn remap(
             .unwrap_or(1)
     };
     let cfg = OpConfig {
-        tx: k.tx.0.clone(),
-        ty: k
-            .ty
-            .as_ref()
-            .map(|(v, _)| LoopSel::Var(v.clone()))
-            .unwrap_or(LoopSel::One),
-        bx: k
-            .bx
-            .as_ref()
-            .map(|(v, _)| LoopSel::Var(v.clone()))
-            .unwrap_or(LoopSel::One),
-        by: k
-            .by
-            .as_ref()
-            .map(|(v, _)| LoopSel::Var(v.clone()))
-            .unwrap_or(LoopSel::One),
         interior,
         unroll,
-        staged: k.staged.clone(),
+        ..mapped
     };
     // Derived from a kernel that already mapped, so this config is valid.
     map_kernel(program, k.op_index, &cfg, k.accumulate)

@@ -163,43 +163,22 @@ pub fn try_openacc_optimized_parts(
                 .flatten()
                 .filter(|k| k.name.starts_with(&program.name))
                 .map(|k| {
-                    let op_index = k.op_index;
-                    let op = &program.ops[op_index];
-                    let default_interior: Vec<tensor::IndexVar> = program
-                        .loop_vars(op)
+                    let mapped = k.config();
+                    let interior = program
+                        .loop_vars(&program.ops[k.op_index])
                         .into_iter()
-                        .filter(|v| {
-                            *v != k.tx.0
-                                && k.ty.as_ref().map(|(t, _)| t) != Some(v)
-                                && k.bx.as_ref().map(|(b, _)| b) != Some(v)
-                                && k.by.as_ref().map(|(b, _)| b) != Some(v)
-                        })
+                        .filter(|v| !mapped.mapped_vars_iter().any(|m| m == v))
                         .collect();
                     let cfg = OpConfig {
-                        tx: k.tx.0.clone(),
-                        ty: k
-                            .ty
-                            .as_ref()
-                            .map(|(v, _)| LoopSel::Var(v.clone()))
-                            .unwrap_or(LoopSel::One),
-                        bx: k
-                            .bx
-                            .as_ref()
-                            .map(|(v, _)| LoopSel::Var(v.clone()))
-                            .unwrap_or(LoopSel::One),
-                        by: k
-                            .by
-                            .as_ref()
-                            .map(|(v, _)| LoopSel::Var(v.clone()))
-                            .unwrap_or(LoopSel::One),
-                        interior: default_interior,
+                        interior,
                         unroll: 1,
                         staged: Vec::new(),
+                        ..mapped
                     };
                     // Derived from a kernel that already mapped, so this
                     // config covers the same loops.
                     let mut nk =
-                        map_kernel(program, op_index, &cfg, st.accumulate).map_err(|detail| {
+                        map_kernel(program, k.op_index, &cfg, st.accumulate).map_err(|detail| {
                             BarracudaError::Mapping {
                                 workload: workload.name.clone(),
                                 statement: sidx,

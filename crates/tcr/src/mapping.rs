@@ -137,6 +137,25 @@ impl MappedKernel {
         x * y
     }
 
+    /// The configuration this kernel was mapped from: the inverse of
+    /// [`map_kernel`], so `map_kernel(program, k.op_index, &k.config(),
+    /// k.accumulate)` rebuilds `k`.
+    pub fn config(&self) -> OpConfig {
+        let sel = |s: &Option<(IndexVar, usize)>| {
+            s.as_ref()
+                .map_or(LoopSel::One, |(v, _)| LoopSel::Var(v.clone()))
+        };
+        OpConfig {
+            tx: self.tx.0.clone(),
+            ty: sel(&self.ty),
+            bx: sel(&self.bx),
+            by: sel(&self.by),
+            interior: self.interior.iter().map(|l| l.var.clone()).collect(),
+            unroll: self.unroll,
+            staged: self.staged.clone(),
+        }
+    }
+
     /// Iterations of the interior loop nest executed by each thread.
     pub fn interior_trip_count(&self) -> u64 {
         self.interior.iter().map(|l| l.extent as u64).product()
