@@ -1,16 +1,16 @@
 //! Criterion microbenchmarks of the evaluation hot path: the exact
 //! per-evaluation operations the SURF search loop performs millions of
-//! times — config decode, kernel timing, and surrogate batch prediction —
-//! each with the allocating baseline next to the zero-allocation fast path
-//! so regressions in either show up as a ratio, not just a number.
+//! times — config decode, kernel timing, memoized evaluation — each with
+//! the allocating or unmemoized baseline next to the fast path, so
+//! regressions in either show up as a ratio, not just a number; and the
+//! surrogate's pool scoring, one-shot and per round.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use barracuda::prelude::*;
 use barracuda::EvalCache;
-use surf::binarize::{CompactMatrix, FeatureMatrix};
-use surf::{ExtraTrees, ForestParams};
+use surf::{ExtraTrees, ForestParams, TransposedPool};
 
 fn bench_config_decode(c: &mut Criterion) {
     let w = kernels::table2_benchmarks()
@@ -94,99 +94,24 @@ fn bench_predict(c: &mut Criterion) {
     };
     let model = ExtraTrees::fit(&xs, &ys, params);
 
-    // Allocating baseline: `predict_batch` re-packs the Vec<Vec<f64>>
-    // rows into a CompactMatrix and recompiles the forest on every call
-    // (it runs the same compact traversal as the search, without reuse).
+    // One-shot path: `predict_batch` transposes the rows into a fresh
+    // pool and scores every row by partition.
     c.bench_function("hotpath/predict_batch_512", |b| {
         b.iter(|| black_box(model.predict_batch(black_box(&xs))))
     });
 
-    // Search-loop path: rows bit-packed once into a CompactMatrix, the
-    // forest compiled against its schema, predictions into reused scratch.
-    let compact = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&xs));
-    let compiled = model.compile(&compact);
-    let rows: Vec<u32> = (0..xs.len() as u32).collect();
-    c.bench_function("hotpath/predict_compiled_512", |b| {
+    // Search-loop path: the pool is transposed once, outside the rounds,
+    // and each round re-scores the rows still remaining with the round's
+    // forest. A round leaves ten rows fewer, as a batch of ten would,
+    // until the set is refilled.
+    let transposed = TransposedPool::from_rows(xs.len(), &xs);
+    let all: Vec<u32> = (0..xs.len() as u32).collect();
+    c.bench_function("hotpath/round_partition_shrinking_512", |b| {
+        let mut live = all.len();
         let mut out: Vec<f64> = Vec::new();
         b.iter(|| {
-            compiled.predict_rows_into(black_box(&compact), black_box(&rows), &mut out);
-            black_box(out.len())
-        })
-    });
-
-    // Per-round model refresh, allocating baseline: what the search loop
-    // used to do each batch — compile a fresh CompiledForest (new node
-    // and value vectors per tree) and collect predictions into a fresh
-    // buffer.
-    c.bench_function("hotpath/round_compile_alloc_512", |b| {
-        b.iter(|| {
-            let compiled = model.compile(black_box(&compact));
-            let mut out: Vec<f64> = Vec::new();
-            compiled.predict_rows_into(black_box(&compact), black_box(&rows), &mut out);
-            black_box(out.len())
-        })
-    });
-
-    // Steady-state path after the scratch-reuse fix: `compile_into`
-    // refills the same CompiledForest in place and predictions land in
-    // the same caller-owned buffer, so a round allocates nothing once
-    // the buffers reach their high-water mark.
-    c.bench_function("hotpath/round_compile_into_reused_512", |b| {
-        let mut compiled = surf::CompiledForest::empty();
-        let mut out: Vec<f64> = Vec::new();
-        b.iter(|| {
-            model.compile_into(black_box(&compact), &mut compiled);
-            compiled.predict_rows_into(black_box(&compact), black_box(&rows), &mut out);
-            black_box(out.len())
-        })
-    });
-}
-
-fn bench_pool_feature_reuse(c: &mut Criterion) {
-    // The search used to re-featurize every remaining candidate on every
-    // scoring round. This pair pins the win from caching the binarized
-    // pool: the baseline pays featurization + binarization + compilation
-    // per round, the cached path only refreshes the compiled forest
-    // against the prebuilt CompactMatrix.
-    let w = kernels::eqn1(10);
-    let tuner = WorkloadTuner::build(&w);
-    let arch = gpusim::gtx980();
-    let pool = tuner.pool(512, 3);
-    let xs: Vec<Vec<f64>> = pool.iter().map(|&id| tuner.features(id)).collect();
-    let ys: Vec<f64> = pool
-        .iter()
-        .map(|&id| tuner.gpu_seconds(id, &arch))
-        .collect();
-    let params = ForestParams {
-        n_trees: 30,
-        min_samples_leaf: 2,
-        k_features: Some(48),
-        seed: 1,
-    };
-    let model = ExtraTrees::fit(&xs, &ys, params);
-    let rows: Vec<u32> = (0..pool.len() as u32).collect();
-
-    // Per-round baseline: featurize, binarize and compile from scratch.
-    c.bench_function("hotpath/score_refeaturize_each_round_512", |b| {
-        b.iter(|| {
-            let feats: Vec<Vec<f64>> = pool.iter().map(|&id| tuner.features(id)).collect();
-            let compact = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&feats));
-            let compiled = model.compile(&compact);
-            let mut out: Vec<f64> = Vec::new();
-            compiled.predict_rows_into(&compact, black_box(&rows), &mut out);
-            black_box(out.len())
-        })
-    });
-
-    // Cached-pool path: the CompactMatrix is built once outside the round;
-    // each round refills the compiled forest and scratch in place.
-    let compact = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&xs));
-    c.bench_function("hotpath/score_cached_pool_features_512", |b| {
-        let mut compiled = surf::CompiledForest::empty();
-        let mut out: Vec<f64> = Vec::new();
-        b.iter(|| {
-            model.compile_into(black_box(&compact), &mut compiled);
-            compiled.predict_rows_into(black_box(&compact), black_box(&rows), &mut out);
+            live = if live > 10 { live - 10 } else { all.len() };
+            model.predict_rows(black_box(&transposed), black_box(&all[..live]), &mut out);
             black_box(out.len())
         })
     });
@@ -240,7 +165,6 @@ criterion_group! {
     bench_config_decode,
     bench_kernel_timing,
     bench_predict,
-    bench_pool_feature_reuse,
     bench_memoized_eval,
 }
 criterion_main!(benches);

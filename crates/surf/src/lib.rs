@@ -21,9 +21,9 @@ pub mod search;
 pub use baselines::{
     contraction_order_annealing, exhaustive_search, hill_climb, random_search, simulated_annealing,
 };
-pub use binarize::{Feature, FeatureSpace};
+pub use binarize::{Feature, FeatureSpace, TransposedPool};
 pub use fault::{unit as fault_unit, FaultPlan, FaultyEvaluator, InjectedFault};
-pub use forest::{CompiledForest, ExtraTrees, ForestParams};
+pub use forest::{ExtraTrees, ForestParams};
 pub use search::{
     surf_search, surf_search_parallel, surf_search_serial, EvalFault, ParallelEvaluator,
     SearchError, SearchStatus, SurfParams, SurfResult,
