@@ -679,7 +679,7 @@ fn cmd_tune(w: &Workload, o: &Options) -> Result<(), CliError> {
         ));
     }
     for arch in archs {
-        let out = session.tune_built(&tuner, &arch.key, params)?;
+        let out = session.tune(&tuner, &arch.key, params)?;
         let tuned = &out.tuned;
         println!(
             "{}  ({} evals, space {})",
@@ -852,7 +852,8 @@ fn cmd_replay(spec: &str, o: &Options) -> Result<(), CliError> {
         };
         let session = session_for(o, &set)?;
         let w = load_workload(spec, o)?;
-        let (tuned, plan, _path) = session.replay_from_store(&w, &backend, &o.objective)?;
+        let tuner = WorkloadTuner::build(&w);
+        let (tuned, plan, _path) = session.replay_from_store(&tuner, &backend, &o.objective)?;
         (plan, w, tuned)
     } else {
         let plan = TunedPlan::load(std::path::Path::new(spec))?;
@@ -862,7 +863,8 @@ fn cmd_replay(spec: &str, o: &Options) -> Result<(), CliError> {
         // error instead.
         plan.validate_objective(&o.objective)?;
         let w = plan.workload()?;
-        let tuned = plan.replay_for_in(&set, &w, &EvalCache::new())?;
+        let tuner = WorkloadTuner::build(&w);
+        let tuned = plan.replay_built_in(&set, &w, &tuner, &EvalCache::new())?;
         (plan, w, tuned)
     };
     report_replay(&plan, &w, &tuned, o)

@@ -15,10 +15,15 @@
 //! - [`variant::StatementTuner`] enumerates OCTOPI factorizations of one
 //!   statement, lowers each to a TCR program and builds its GPU search
 //!   space;
-//! - [`pipeline::WorkloadTuner`] joins the statements into one configuration
-//!   space and runs SURF against the GPU simulator, producing a
+//! - [`pipeline::WorkloadTuner`] is a workload's one compiled form: its
+//!   fingerprint and every statement lowered, joined into one configuration
+//!   space. It runs SURF against the GPU simulator, producing a
 //!   [`pipeline::TunedWorkload`] with kernels, timings, CUDA source and
 //!   search statistics;
+//! - [`session::TuningSession`] keeps one record per workload fingerprint
+//!   (its evaluation cache and its lowering, built once) and runs
+//!   store-first tunes and replays over it; the [`serve`] daemon is one
+//!   long-lived session;
 //! - [`openacc`] builds the paper's OpenACC-naive / OpenACC-optimized
 //!   comparison mappings, [`cpu`] the sequential / OpenMP baselines;
 //! - [`kernels`] defines every benchmark of Table I (Eqn. (1), Lg3, Lg3t,

@@ -53,24 +53,29 @@ impl AccMapping {
     }
 }
 
-/// The naive OpenACC mapping of one statement.
-fn naive_config(program: &TcrProgram, op_index: usize) -> OpConfig {
+/// The naive OpenACC mapping of one statement; an op with a scalar
+/// output has no loop to put on threads, which is a typed mapping error.
+fn naive_config(program: &TcrProgram, op_index: usize) -> Result<OpConfig, String> {
     let op = &program.ops[op_index];
     let out = &program.arrays[op.output].indices;
     // Gang = outermost output loop, vector = second output loop (PGI picks
     // the outer loops of the nest); with rank-1 outputs everything lands in
     // one block.
-    let (bx, tx) = if out.len() >= 2 {
-        (LoopSel::Var(out[0].clone()), out[1].clone())
-    } else {
-        (LoopSel::One, out[0].clone())
+    let (bx, tx) = match out.as_slice() {
+        [] => {
+            return Err(format!(
+                "op {op_index} has a scalar output: no parallel loop to map onto GPU threads"
+            ))
+        }
+        [only] => (LoopSel::One, only.clone()),
+        [outer, second, ..] => (LoopSel::Var(outer.clone()), second.clone()),
     };
     let interior: Vec<tensor::IndexVar> = program
         .loop_vars(op)
         .into_iter()
         .filter(|v| *v != tx && Some(v) != bx.var())
         .collect();
-    OpConfig {
+    Ok(OpConfig {
         tx,
         ty: LoopSel::One,
         bx,
@@ -78,7 +83,7 @@ fn naive_config(program: &TcrProgram, op_index: usize) -> OpConfig {
         interior,
         unroll: 1,
         staged: Vec::new(),
-    }
+    })
 }
 
 /// Builds the naive-OpenACC analog for a workload.
@@ -102,16 +107,16 @@ pub fn try_openacc_naive(workload: &Workload) -> Result<AccMapping, BarracudaErr
         .map(|(sidx, (p, st))| {
             (0..p.ops.len())
                 .map(|i| {
-                    let cfg = naive_config(p, i);
-                    let mut k = map_kernel(p, i, &cfg, st.accumulate).map_err(|detail| {
-                        BarracudaError::Mapping {
-                            workload: workload.name.clone(),
-                            statement: sidx,
-                            version: Some(0),
-                            config: None,
-                            detail: detail.to_string(),
-                        }
-                    })?;
+                    let mapping = |detail: String| BarracudaError::Mapping {
+                        workload: workload.name.clone(),
+                        statement: sidx,
+                        version: Some(0),
+                        config: None,
+                        detail,
+                    };
+                    let cfg = naive_config(p, i).map_err(mapping)?;
+                    let mut k = map_kernel(p, i, &cfg, st.accumulate)
+                        .map_err(|detail| mapping(detail.to_string()))?;
                     k.scalar_replacement = false;
                     k.name = format!("{}_acc_naive", k.name);
                     Ok(k)

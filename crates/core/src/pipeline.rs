@@ -1,19 +1,22 @@
-//! End-to-end autotuning facade over the staged compiler driver.
+//! The compiled form of a workload, and the one-call tuning API over it.
 //!
-//! The actual pipeline lives in [`crate::stages`] as five explicitly
-//! staged modules with typed artifacts (`CompiledWorkload` →
-//! `LoweredVersions` → `SearchSpace` → `TunedWorkload`). This module keeps
-//! the original one-call API on top of them: a [`WorkloadTuner`] joins the
-//! per-statement spaces of a workload into a single flat configuration
-//! space (the cross product that reaches 512,000 variants for Lg3t in the
-//! paper), runs SURF against the GPU simulator and returns a
-//! [`TunedWorkload`]: chosen version + configuration per statement, mapped
-//! kernels, CUDA source, timing breakdown, and search statistics including
-//! the modeled wall-clock search time the paper reports in Table II.
+//! A [`WorkloadTuner`] is what the pipeline makes of a workload before any
+//! search: the workload itself, its fingerprint, and its lowering (every
+//! statement's OCTOPI versions as TCR programs with their search spaces,
+//! see [`crate::stages::lower`]). It joins the per-statement spaces into a
+//! single flat configuration space (the cross product that reaches 512,000
+//! variants for Lg3t in the paper), runs SURF against the GPU simulator and
+//! returns a [`TunedWorkload`]: chosen version + configuration per
+//! statement, mapped kernels, CUDA source, timing breakdown, and search
+//! statistics including the modeled wall-clock search time the paper
+//! reports in Table II. Lowering is the expensive part of building one, so
+//! a [`crate::session::TuningSession`] keeps one per fingerprint and every
+//! tune and replay takes it already built.
 
 use crate::cache::EvalCache;
 use crate::error::BarracudaError;
-use crate::stages::{evaluate, lower, search, space, LoweredVersions};
+use crate::stages::frontend::workload_fingerprint;
+use crate::stages::{evaluate, lower, search, space};
 use crate::variant::StatementTuner;
 use crate::workload::Workload;
 use gpusim::GpuArch;
@@ -44,34 +47,50 @@ impl<'a> TunerEvaluator<'a> {
     }
 }
 
-/// Joint tuner over every statement of a workload.
+/// Joint tuner over every statement of a workload: the workload's one
+/// compiled form.
 #[derive(Clone, Debug)]
 pub struct WorkloadTuner {
     pub workload: Workload,
     pub statements: Vec<StatementTuner>,
+    /// [`workload_fingerprint`] of `workload`, computed once at build.
+    fingerprint: u64,
 }
 
 impl WorkloadTuner {
-    /// Lowers every statement (see [`LoweredVersions::build`]) and wraps
-    /// the artifact with its workload.
+    /// Enumerates, lowers and space-builds every statement of `workload`.
+    /// Statements are independent, so each is built on the rayon pool
+    /// (order-preserving: offsets and ids match the serial construction).
     pub fn build(workload: &Workload) -> Self {
-        Self::from_lowered(workload.clone(), LoweredVersions::build(workload))
+        let idx: Vec<usize> = (0..workload.statements.len()).collect();
+        let statements = rayon::par_map_slice(&idx, |&i| {
+            StatementTuner::build(
+                &format!("{}_{}", workload.name, i),
+                &workload.statements[i],
+                &workload.dims,
+            )
+        });
+        WorkloadTuner {
+            workload: workload.clone(),
+            statements,
+            fingerprint: workload_fingerprint(workload),
+        }
     }
 
     /// Builds the tuner with every statement's space pruned by `rules`
     /// (§VIII future work; see `tcr::prune`).
     pub fn build_pruned(workload: &Workload, rules: &tcr::PruneRules) -> Self {
-        let mut lowered = LoweredVersions::build(workload);
-        lowered.prune(rules);
-        Self::from_lowered(workload.clone(), lowered)
+        let mut tuner = Self::build(workload);
+        for st in &mut tuner.statements {
+            st.prune(rules);
+        }
+        tuner
     }
 
-    /// Wraps an already-built lowering artifact.
-    pub fn from_lowered(workload: Workload, lowered: LoweredVersions) -> Self {
-        WorkloadTuner {
-            workload,
-            statements: lowered.statements,
-        }
+    /// The workload's fingerprint (see [`workload_fingerprint`]): what a
+    /// session files the tuner, its cache and its stored plans under.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// A random neighbor of `id` for local-search baselines: re-draws one
@@ -171,23 +190,19 @@ impl WorkloadTuner {
     }
 
     /// Decomposed tuning: each statement is searched independently (see
-    /// [`search::autotune_decomposed`]). Uses a fresh memo cache.
+    /// [`search::autotune_decomposed`] for the budget semantics). Uses a
+    /// fresh memo cache.
     pub fn autotune_decomposed(
         &self,
         arch: &GpuArch,
         params: TuneParams,
     ) -> Result<TunedWorkload, BarracudaError> {
-        self.autotune_decomposed_with_cache(arch, params, &EvalCache::new())
-    }
-
-    /// [`WorkloadTuner::autotune_decomposed`] against a shared memo cache
-    /// (see [`search::autotune_decomposed`] for the budget semantics).
-    pub fn autotune_decomposed_with_cache(
-        &self,
-        arch: &GpuArch,
-        params: TuneParams,
-        cache: &EvalCache,
-    ) -> Result<TunedWorkload, BarracudaError> {
-        search::autotune_decomposed(&self.workload, &self.statements, arch, params, cache)
+        search::autotune_decomposed(
+            &self.workload,
+            &self.statements,
+            arch,
+            params,
+            &EvalCache::new(),
+        )
     }
 }

@@ -19,11 +19,12 @@
 //! and the pick's modeled memory statistics. A plan of any other schema —
 //! the v1 and v2 layouts of older builds included — is a typed
 //! [`BarracudaError::Plan`] (CLI exit code 10); `barracuda plans gc`
-//! evicts store entries filed under an older schema. [`TunedPlan::replay`]
-//! rejects a plan whose workload fingerprint or backend cache salt no
-//! longer matches with the same typed error, then re-maps and re-times the
-//! configuration — bit-identical to the saved numbers, since the simulator
-//! is deterministic — without searching anything. Replaying under a
+//! evicts store entries filed under an older schema.
+//! [`TunedPlan::replay_built_in`] rejects a plan whose workload fingerprint
+//! or backend cache salt no longer matches with the same typed error, then
+//! re-maps and re-times the configuration on the workload's lowering —
+//! bit-identical to the saved numbers, since the simulator is
+//! deterministic — without searching anything. Replaying under a
 //! different objective than the plan was tuned for is the same class of
 //! error: use [`TunedPlan::validate_objective`].
 
@@ -126,7 +127,7 @@ impl TunedPlan {
                 .iter()
                 .map(|(v, &n)| (v.name().to_string(), n))
                 .collect(),
-            fingerprint: workload_fingerprint(&tuner.workload),
+            fingerprint: tuner.fingerprint(),
             backend: backend.key().to_string(),
             cache_salt: backend.cache_salt(),
             arch_name: tuned.arch_name.clone(),
@@ -328,10 +329,15 @@ impl TunedPlan {
     /// changed since tuning) is a typed error, never a silently wrong
     /// kernel.
     pub fn validate_for(&self, workload: &Workload) -> Result<(), BarracudaError> {
-        let actual = workload_fingerprint(workload);
+        self.check_fingerprint(&workload.name, workload_fingerprint(workload))
+    }
+
+    /// The check behind [`TunedPlan::validate_for`], given the workload's
+    /// name and fingerprint.
+    fn check_fingerprint(&self, name: &str, actual: u64) -> Result<(), BarracudaError> {
         if actual != self.fingerprint {
             return Err(BarracudaError::Plan {
-                workload: workload.name.clone(),
+                workload: name.to_string(),
                 detail: format!(
                     "workload fingerprint {actual:016x} does not match plan fingerprint \
                      {:016x}: the statements or extents changed since tuning — re-tune \
@@ -365,30 +371,14 @@ impl TunedPlan {
         })
     }
 
-    /// Replays the plan against `workload`, resolving its backend in
-    /// `set` (runtime-loaded descriptors included): validates the
-    /// fingerprint and the backend cache salt, re-maps the saved
-    /// configuration and re-times it through `cache` — no search. The
-    /// deterministic simulator reproduces the saved `gpu_seconds`
-    /// bit-for-bit; a mismatch (an edited plan, a changed model) is
-    /// reported as a typed error rather than trusted.
-    pub fn replay_for_in(
-        &self,
-        set: &BackendSet,
-        workload: &Workload,
-        cache: &EvalCache,
-    ) -> Result<TunedWorkload, BarracudaError> {
-        self.validate_for(workload)?;
-        let tuner = WorkloadTuner::build(workload);
-        self.replay_built_in(set, workload, &tuner, cache)
-    }
-
-    /// [`TunedPlan::replay_for_in`] with a pre-built tuner: skips the
-    /// lowering pass when the caller already holds the workload's
-    /// [`WorkloadTuner`] — the serving daemon replays thousands of warm
-    /// requests against one cached tuner. The caller must have built
-    /// `tuner` from `workload` and validated the fingerprint (or accept
-    /// the id-range check below as the only guard).
+    /// Replays the plan on `tuner`, the lowering of the workload it was
+    /// tuned for, resolving its backend in `set` (runtime-loaded
+    /// descriptors included): checks the tuner's fingerprint and the
+    /// backend cache salt, re-maps the saved configuration and re-times it
+    /// through `cache` — no search. The deterministic simulator reproduces
+    /// the saved `gpu_seconds` bit-for-bit; a mismatch (an edited plan, a
+    /// changed model) is reported as a typed error rather than trusted.
+    /// `workload` names the result and its errors.
     pub fn replay_built_in(
         &self,
         set: &BackendSet,
@@ -396,7 +386,7 @@ impl TunedPlan {
         tuner: &WorkloadTuner,
         cache: &EvalCache,
     ) -> Result<TunedWorkload, BarracudaError> {
-        self.validate_for(workload)?;
+        self.check_fingerprint(&workload.name, tuner.fingerprint())?;
         let backend = set.get(&self.backend).ok_or_else(|| BarracudaError::Plan {
             workload: workload.name.clone(),
             detail: format!("unknown backend `{}` in plan", self.backend),
@@ -484,13 +474,6 @@ impl TunedPlan {
                 entries: self.quarantine.clone(),
             },
         })
-    }
-
-    /// [`TunedPlan::replay_for_in`] over the built-in backends, against
-    /// the workload embedded in the plan.
-    pub fn replay(&self, cache: &EvalCache) -> Result<TunedWorkload, BarracudaError> {
-        let w = self.workload()?;
-        self.replay_for_in(&BackendSet::builtin(), &w, cache)
     }
 }
 
@@ -729,6 +712,11 @@ mod tests {
         (tuner, plan)
     }
 
+    fn replay(plan: &TunedPlan, tuner: &WorkloadTuner) -> Result<TunedWorkload, BarracudaError> {
+        let set = BackendSet::builtin();
+        plan.replay_built_in(&set, &tuner.workload, tuner, &EvalCache::new())
+    }
+
     #[test]
     fn json_roundtrip_is_lossless() {
         let (_, mut plan) = tuned_plan(16);
@@ -796,9 +784,8 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_tuned_time_without_searching() {
-        let (_, plan) = tuned_plan(16);
-        let cache = EvalCache::new();
-        let replayed = plan.replay(&cache).unwrap();
+        let (tuner, plan) = tuned_plan(16);
+        let replayed = replay(&plan, &tuner).unwrap();
         assert_eq!(replayed.id, plan.id);
         assert_eq!(replayed.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
         assert!(replayed.cuda_source().contains("__global__"));
@@ -809,14 +796,14 @@ mod tests {
 
     #[test]
     fn replayed_degraded_status_is_not_double_prefixed() {
-        let (_, mut plan) = tuned_plan(16);
+        let (tuner, mut plan) = tuned_plan(16);
         plan.status = SearchStatus::Degraded {
             reason: "eval budget exhausted".into(),
         };
         let text = plan.to_json_text();
         assert!(text.contains("\"status\": \"degraded: eval budget exhausted\""));
         let back = TunedPlan::from_json_text(&text).unwrap();
-        let replayed = back.replay(&EvalCache::new()).unwrap();
+        let replayed = replay(&back, &tuner).unwrap();
         match replayed.status {
             SearchStatus::Degraded { reason } => {
                 assert_eq!(reason, "eval budget exhausted");
@@ -829,10 +816,8 @@ mod tests {
     fn stale_fingerprint_is_a_typed_plan_error() {
         let (_, plan) = tuned_plan(16);
         // Same statements, different extents: a stale plan.
-        let other = matmul(32);
-        let err = plan
-            .replay_for_in(&BackendSet::builtin(), &other, &EvalCache::new())
-            .unwrap_err();
+        let other = WorkloadTuner::build(&matmul(32));
+        let err = replay(&plan, &other).unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert_eq!(err.exit_code(), 10);
         assert!(err.to_string().contains("fingerprint"));
@@ -840,9 +825,9 @@ mod tests {
 
     #[test]
     fn foreign_cache_salt_is_a_typed_plan_error() {
-        let (_, mut plan) = tuned_plan(16);
+        let (tuner, mut plan) = tuned_plan(16);
         plan.cache_salt ^= 1;
-        let err = plan.replay(&EvalCache::new()).unwrap_err();
+        let err = replay(&plan, &tuner).unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert_eq!(err.exit_code(), 10);
         assert!(err.to_string().contains("salt"), "{err}");
@@ -850,12 +835,12 @@ mod tests {
 
     #[test]
     fn zeroed_cache_salt_is_a_typed_plan_error() {
-        let (_, mut plan) = tuned_plan(16);
+        let (tuner, mut plan) = tuned_plan(16);
         plan.cache_salt = 0;
         // The zero survives the file round trip and is still refused.
         let back = TunedPlan::from_json_text(&plan.to_json_text()).unwrap();
         assert_eq!(back.cache_salt, 0);
-        let err = back.replay(&EvalCache::new()).unwrap_err();
+        let err = replay(&back, &tuner).unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert_eq!(err.exit_code(), 10);
         assert!(err.to_string().contains("salt"), "{err}");

@@ -60,7 +60,6 @@ use crate::kernels;
 use crate::pipeline::{TuneParams, TunedWorkload, WorkloadTuner};
 use crate::report::fmt_timing;
 use crate::session::{PlanSource, TuningSession};
-use crate::stages::frontend::workload_fingerprint;
 use crate::store::{PlanStore, StoreFaultPlan, StoreOptions};
 use crate::workload::Workload;
 
@@ -165,15 +164,14 @@ enum Role {
     Follower(Arc<InFlight>),
 }
 
-/// The serving daemon: one shared session, a tuner cache, the in-flight
-/// coalescing map, the admission gate, and counters. `&self` everywhere —
-/// transports share one daemon across threads.
+/// The serving daemon: one shared session, the in-flight coalescing map,
+/// the admission gate, and counters. The session holds each workload's
+/// record (its cache and its lowering, built on the first request that
+/// names it), so warm requests replay against a lowering built once.
+/// `&self` everywhere — transports share one daemon across threads.
 pub struct Daemon {
     session: TuningSession,
     options: ServeOptions,
-    /// Lowered tuners by workload fingerprint: warm requests replay
-    /// against a cached lowering instead of re-running the frontend.
-    tuners: Mutex<HashMap<u64, Arc<WorkloadTuner>>>,
     /// In-flight tunes by coalescing key; entries live from the leader's
     /// insertion to just after it publishes.
     inflight: Mutex<HashMap<(u64, String, u64), Arc<InFlight>>>,
@@ -255,7 +253,6 @@ impl Daemon {
         Ok(Daemon {
             session,
             options,
-            tuners: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             gate: AdmissionGate::new(max, queue),
             metrics: ServeMetrics::default(),
@@ -424,7 +421,7 @@ impl Daemon {
         // before taking a coalescing slot. A replayed hit costs zero
         // search evaluations, so it must keep flowing even while a cold
         // storm holds every permit.
-        let tuner = self.tuner_for(&workload);
+        let tuner = self.session.tuner_for(&workload);
         if let Some(hit) = self
             .session
             .replay_hit(&tuner, &backend, &params.objective)?
@@ -461,7 +458,7 @@ impl Daemon {
                 )
             }
             Role::Leader(flight) => {
-                let result = self.lead_tune(&workload, &backend, params, seq);
+                let result = self.lead_tune(&tuner, &backend, params, seq);
                 *lock(&flight.slot) = Some(result.clone());
                 flight.ready.notify_all();
                 lock(&self.inflight).remove(&key);
@@ -476,7 +473,7 @@ impl Daemon {
     /// still publishes a typed error to its followers.
     fn lead_tune(
         &self,
-        workload: &Workload,
+        tuner: &WorkloadTuner,
         backend: &str,
         params: TuneParams,
         seq: u64,
@@ -504,7 +501,7 @@ impl Daemon {
                 }
                 Some(ChaosEvent::DropResponse) | None => {}
             }
-            self.tune_once(workload, backend, params)
+            self.tune_once(tuner, backend, params)
         }))
         .unwrap_or_else(|panic| {
             Err(BarracudaError::Serve {
@@ -518,15 +515,14 @@ impl Daemon {
     }
 
     /// The leader's actual tune: store-first through the shared session
-    /// over the cached (or freshly lowered) tuner.
+    /// over the session's lowering.
     fn tune_once(
         &self,
-        workload: &Workload,
+        tuner: &WorkloadTuner,
         backend: &str,
         params: TuneParams,
     ) -> Result<ServedTune, BarracudaError> {
-        let tuner = self.tuner_for(workload);
-        let out = self.session.tune_built(&tuner, backend, params)?;
+        let out = self.session.tune(tuner, backend, params)?;
         let source = match &out.source {
             PlanSource::StoreHit { .. } => ServedSource::Hit,
             PlanSource::Searched { stored: Some(_) } => ServedSource::Searched,
@@ -537,23 +533,6 @@ impl Daemon {
             _ => self.metrics.store_misses.fetch_add(1, Ordering::Relaxed),
         };
         Ok(served_from(&out.tuned, backend, source))
-    }
-
-    /// Cached lowering for `workload`, built on first sight.
-    fn tuner_for(&self, workload: &Workload) -> Arc<WorkloadTuner> {
-        let fp = workload_fingerprint(workload);
-        if let Some(t) = lock(&self.tuners).get(&fp) {
-            return Arc::clone(t);
-        }
-        // Lower outside the lock: first requests for distinct workloads
-        // must not serialize on one mutex. A racing duplicate lowering
-        // is idempotent; first insert wins.
-        let built = Arc::new(WorkloadTuner::build(workload));
-        Arc::clone(
-            lock(&self.tuners)
-                .entry(fp)
-                .or_insert_with(|| Arc::clone(&built)),
-        )
     }
 
     /// Recent leader search wall time in milliseconds (EWMA), floored so

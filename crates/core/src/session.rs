@@ -1,15 +1,16 @@
-//! [`TuningSession`]: the cache-first compile service the CLI and bench
-//! binaries tune through.
+//! [`TuningSession`]: the cache-first compile service the CLI, the bench
+//! binaries and the daemon tune through.
 //!
 //! A session owns the three pieces every tuning entry point used to wire
-//! by hand: the [`BackendSet`] its keys resolve against, one shared
-//! [`EvalCache`] **per workload fingerprint** — cache keys are
-//! `(salt, configuration id)` and configuration ids are workload-local,
-//! so backends tuning the same workload share timings and features while
-//! distinct workloads can never alias each other's entries — and an
-//! optional content-addressed [`PlanStore`]. With a store attached,
-//! `tune` is
-//! store-first: a hit replays the persisted plan — zero search
+//! by hand: the [`BackendSet`] its keys resolve against, one record **per
+//! workload fingerprint**, and an optional content-addressed
+//! [`PlanStore`]. A workload's record holds its shared [`EvalCache`] —
+//! cache keys are `(salt, configuration id)` and configuration ids are
+//! workload-local, so backends tuning the same workload share timings and
+//! features while distinct workloads can never alias each other's entries
+//! — and, once [`TuningSession::tuner_for`] has asked for it, its lowering
+//! (the [`WorkloadTuner`]), built at most once. With a store attached,
+//! `tune` is store-first: a hit replays the persisted plan — zero search
 //! evaluations, bit-identical timing, full quarantine report — and a miss
 //! runs SURF then persists the result under its content address, so the
 //! *next* session hits. This is the paper's compile-once/run-many loop
@@ -19,9 +20,9 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::backend::BackendSet;
+use crate::backend::{Backend, BackendSet};
 use crate::cache::EvalCache;
 use crate::cpu::{try_cpu_programs, workload_cpu_time};
 use crate::error::BarracudaError;
@@ -88,12 +89,20 @@ pub struct SweepOutcome {
     pub notes: Vec<(String, PlanSource)>,
 }
 
+/// One workload's state in a session: its evaluation cache, and its
+/// lowering once [`TuningSession::tuner_for`] has built it.
+#[derive(Default)]
+struct WorkloadRecord {
+    cache: Arc<EvalCache>,
+    tuner: OnceLock<Arc<WorkloadTuner>>,
+}
+
 /// The cache-first tuning context.
 pub struct TuningSession {
-    /// One [`EvalCache`] per workload fingerprint. Cache entries are
-    /// keyed by `(salt, configuration id)` and ids are workload-local,
-    /// so a single cache must never span workloads.
-    caches: Mutex<HashMap<u64, Arc<EvalCache>>>,
+    /// One record per workload fingerprint. Cache entries are keyed by
+    /// `(salt, configuration id)` and ids are workload-local, so a single
+    /// cache must never span workloads.
+    workloads: Mutex<HashMap<u64, Arc<WorkloadRecord>>>,
     store: Option<PlanStore>,
     /// The backends this session resolves keys against: the built-ins by
     /// default, or a set extended with runtime-loaded descriptors.
@@ -111,7 +120,7 @@ impl TuningSession {
     /// searches, nothing persists. What the bench binaries use.
     pub fn new() -> TuningSession {
         TuningSession {
-            caches: Mutex::new(HashMap::new()),
+            workloads: Mutex::new(HashMap::new()),
             store: None,
             backends: Arc::new(BackendSet::builtin()),
         }
@@ -127,7 +136,7 @@ impl TuningSession {
     /// harness injects store I/O faults.
     pub fn with_plan_store(store: PlanStore) -> TuningSession {
         TuningSession {
-            caches: Mutex::new(HashMap::new()),
+            workloads: Mutex::new(HashMap::new()),
             store: Some(store),
             backends: Arc::new(BackendSet::builtin()),
         }
@@ -145,16 +154,34 @@ impl TuningSession {
         &self.backends
     }
 
+    /// The record filed under `fingerprint`, created empty on first sight.
+    fn record(&self, fingerprint: u64) -> Arc<WorkloadRecord> {
+        let mut workloads = self
+            .workloads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(workloads.entry(fingerprint).or_default())
+    }
+
+    /// The session's lowering of `workload`, built on first sight and
+    /// shared by every later caller. Callers racing on one workload wait
+    /// for the first one's lowering instead of lowering again; the session
+    /// map is not locked while it runs, so distinct workloads lower in
+    /// parallel.
+    pub fn tuner_for(&self, workload: &Workload) -> Arc<WorkloadTuner> {
+        let record = self.record(workload_fingerprint(workload));
+        Arc::clone(
+            record
+                .tuner
+                .get_or_init(|| Arc::new(WorkloadTuner::build(workload))),
+        )
+    }
+
     /// The session's shared evaluation cache for `workload`: every tune
     /// and replay of a workload with this fingerprint goes through the
     /// same cache, and no other workload touches it.
     pub fn cache_for(&self, workload: &Workload) -> Arc<EvalCache> {
-        let fp = workload_fingerprint(workload);
-        let mut caches = match self.caches.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        Arc::clone(caches.entry(fp).or_default())
+        Arc::clone(&self.record(workload_fingerprint(workload)).cache)
     }
 
     /// The attached plan store, when one is.
@@ -166,60 +193,55 @@ impl TuningSession {
     /// [`BarracudaError::Plan`] when the backend key is not in the
     /// session's backend set.
     pub fn key_for(&self, workload: &Workload, backend: &str) -> Result<StoreKey, BarracudaError> {
-        let b = self
-            .backends
-            .get(backend)
-            .ok_or_else(|| BarracudaError::Plan {
-                workload: workload.name.clone(),
-                detail: format!("unknown backend `{backend}`"),
-            })?;
+        self.key(workload, workload_fingerprint(workload), backend)
+    }
+
+    /// [`TuningSession::key_for`] with the fingerprint already known.
+    fn key(
+        &self,
+        workload: &Workload,
+        fingerprint: u64,
+        backend: &str,
+    ) -> Result<StoreKey, BarracudaError> {
+        let b = self.backend(workload, backend)?;
         Ok(StoreKey {
-            fingerprint: workload_fingerprint(workload),
+            fingerprint,
             cache_salt: b.cache_salt(),
             schema: PLAN_SCHEMA_VERSION,
             backend: backend.to_string(),
         })
     }
 
-    /// Store-first tune of `workload` on a searchable backend: a store
-    /// hit replays the persisted plan (zero search evaluations,
-    /// bit-identical result); a miss runs SURF and persists the fresh
-    /// plan under its content address.
-    pub fn tune(
-        &self,
-        workload: &Workload,
-        backend: &str,
-        params: TuneParams,
-    ) -> Result<SessionOutcome, BarracudaError> {
-        let tuner = WorkloadTuner::build(workload);
-        self.tune_built(&tuner, backend, params)
+    /// The backend `key` names, or a typed [`BarracudaError::Plan`].
+    fn backend(&self, workload: &Workload, key: &str) -> Result<&Arc<dyn Backend>, BarracudaError> {
+        self.backends.get(key).ok_or_else(|| BarracudaError::Plan {
+            workload: workload.name.clone(),
+            detail: format!("unknown backend `{key}`"),
+        })
     }
 
-    /// [`TuningSession::tune`] over an already-lowered tuner (callers
-    /// that reuse the lowering across backends).
-    pub fn tune_built(
+    /// Store-first tune of a lowered workload on a searchable backend: a
+    /// store hit replays the persisted plan (zero search evaluations,
+    /// bit-identical result); a miss runs SURF through the workload's
+    /// session cache and persists the fresh plan under its content
+    /// address.
+    pub fn tune(
         &self,
         tuner: &WorkloadTuner,
         backend: &str,
         params: TuneParams,
     ) -> Result<SessionOutcome, BarracudaError> {
         let workload = &tuner.workload;
-        let cache = self.cache_for(workload);
         if let Some(hit) = self.replay_hit(tuner, backend, &params.objective)? {
             return Ok(hit);
         }
-        let b = self
-            .backends
-            .get(backend)
-            .ok_or_else(|| BarracudaError::Plan {
-                workload: workload.name.clone(),
-                detail: format!("unknown backend `{backend}`"),
-            })?;
+        let b = self.backend(workload, backend)?;
         let arch = b.arch().ok_or_else(|| BarracudaError::Search {
             workload: workload.name.clone(),
             detail: format!("backend `{backend}` is not searchable — no architecture to tune on"),
         })?;
-        let tuned = tuner.autotune_with_cache(arch, params, &cache)?;
+        let cache = &self.record(tuner.fingerprint()).cache;
+        let tuned = tuner.autotune_with_cache(arch, params, cache)?;
         let plan = TunedPlan::from_tuned_for(tuner, b.as_ref(), &tuned);
         let stored = match &self.store {
             Some(store) => Some(store.insert(&plan)?),
@@ -247,19 +269,17 @@ impl TuningSession {
         backend: &str,
         objective: &crate::objective::Objective,
     ) -> Result<Option<SessionOutcome>, BarracudaError> {
-        let workload = &tuner.workload;
         let Some(store) = &self.store else {
             return Ok(None);
         };
-        let key = self.key_for(workload, backend)?;
+        let key = self.key(&tuner.workload, tuner.fingerprint(), backend)?;
         let Some(plan) = store.lookup(&key)? else {
             return Ok(None);
         };
         if !plan.objective.same_as(objective) {
             return Ok(None);
         }
-        let tuned =
-            plan.replay_built_in(&self.backends, workload, tuner, &self.cache_for(workload))?;
+        let tuned = self.replay(&plan, tuner)?;
         Ok(Some(SessionOutcome {
             tuned,
             plan,
@@ -269,12 +289,23 @@ impl TuningSession {
         }))
     }
 
+    /// Replays `plan` against its lowered workload through the workload's
+    /// session cache.
+    fn replay(
+        &self,
+        plan: &TunedPlan,
+        tuner: &WorkloadTuner,
+    ) -> Result<TunedWorkload, BarracudaError> {
+        let cache = &self.record(tuner.fingerprint()).cache;
+        plan.replay_built_in(&self.backends, &tuner.workload, tuner, cache)
+    }
+
     /// Store-first tune on an explicit GPU architecture, the calling
     /// convention of the bench experiments. Registry architectures
-    /// (`arch.key` names a backend) flow through
-    /// [`TuningSession::tune_built`] and so share the session cache and
-    /// hit the store; custom architectures fall back to a cached search,
-    /// since they have no stable content address to file plans under.
+    /// (`arch.key` names a backend) flow through [`TuningSession::tune`]
+    /// and so share the session cache and hit the store; custom
+    /// architectures fall back to a cached search, since they have no
+    /// stable content address to file plans under.
     pub fn tune_on_arch(
         &self,
         tuner: &WorkloadTuner,
@@ -282,14 +313,14 @@ impl TuningSession {
         params: TuneParams,
     ) -> Result<TunedWorkload, BarracudaError> {
         if self.backends.get(&arch.key).is_some() {
-            return Ok(self.tune_built(tuner, &arch.key, params)?.tuned);
+            return Ok(self.tune(tuner, &arch.key, params)?.tuned);
         }
-        tuner.autotune_with_cache(arch, params, &self.cache_for(&tuner.workload))
+        tuner.autotune_with_cache(arch, params, &self.record(tuner.fingerprint()).cache)
     }
 
     /// Whole-set sweep, store-first per searchable backend: against a warm
     /// store the entire sweep is search-free. Searchable (GPU) backends
-    /// each tune through [`TuningSession::tune_built`]; the derived
+    /// each tune through [`TuningSession::tune`]; the derived
     /// backends (CPU baselines, OpenACC analogs) ride along and time the
     /// reference (K20) pick of this same sweep — id 0 until it is tuned —
     /// so they cost no extra search.
@@ -308,7 +339,7 @@ impl TuningSession {
         for backend in self.backends.iter() {
             let key = backend.key().to_string();
             if backend.caps().searchable {
-                let out = self.tune_built(tuner, &key, params)?;
+                let out = self.tune(tuner, &key, params)?;
                 if key == "k20" {
                     reference = out.tuned.id;
                 }
@@ -358,23 +389,23 @@ impl TuningSession {
     /// Returns the result, the plan, and the store path it came from.
     pub fn replay_from_store(
         &self,
-        workload: &Workload,
+        tuner: &WorkloadTuner,
         backend: &str,
         expected: &crate::objective::Objective,
     ) -> Result<(TunedWorkload, TunedPlan, PathBuf), BarracudaError> {
         let store = self.store.as_ref().ok_or_else(|| BarracudaError::Store {
             detail: "no plan store attached (pass --store DIR)".to_string(),
         })?;
-        let key = self.key_for(workload, backend)?;
+        let key = self.key(&tuner.workload, tuner.fingerprint(), backend)?;
         let plan = store.lookup(&key)?.ok_or_else(|| BarracudaError::Plan {
-            workload: workload.name.clone(),
+            workload: tuner.workload.name.clone(),
             detail: format!(
                 "no stored plan for {key} in {} — tune with --store first",
                 store.root().display()
             ),
         })?;
         plan.validate_objective(expected)?;
-        let tuned = plan.replay_for_in(&self.backends, workload, &self.cache_for(workload))?;
+        let tuned = self.replay(&plan, tuner)?;
         Ok((tuned, plan, store.path_of(&key)))
     }
 }
@@ -409,7 +440,7 @@ mod tests {
         let params = TuneParams::quick();
 
         let s1 = TuningSession::with_store(&root).unwrap();
-        let first = s1.tune(&w, "k20", params).unwrap();
+        let first = s1.tune(&s1.tuner_for(&w), "k20", params).unwrap();
         assert!(matches!(
             first.source,
             PlanSource::Searched { stored: Some(_) }
@@ -419,7 +450,7 @@ mod tests {
         // A brand-new session (cold cache) must still hit the store and
         // reproduce the result bit-for-bit without searching.
         let s2 = TuningSession::with_store(&root).unwrap();
-        let second = s2.tune(&w, "k20", params).unwrap();
+        let second = s2.tune(&s2.tuner_for(&w), "k20", params).unwrap();
         assert!(matches!(second.source, PlanSource::StoreHit { .. }));
         assert_eq!(second.tuned.id, first.tuned.id);
         assert_eq!(
@@ -509,7 +540,9 @@ mod tests {
     fn sessions_without_a_store_always_search() {
         let w = matmul(16);
         let s = TuningSession::new();
-        let out = s.tune(&w, "k20", TuneParams::quick()).unwrap();
+        let out = s
+            .tune(&s.tuner_for(&w), "k20", TuneParams::quick())
+            .unwrap();
         assert_eq!(out.source, PlanSource::Searched { stored: None });
     }
 
@@ -518,20 +551,21 @@ mod tests {
         let root = temp_root("replay_miss");
         let w = matmul(16);
         let s = TuningSession::with_store(&root).unwrap();
+        let tuner = s.tuner_for(&w);
         let time_only = crate::objective::Objective::time_only();
-        let err = s.replay_from_store(&w, "k20", &time_only).unwrap_err();
+        let err = s.replay_from_store(&tuner, "k20", &time_only).unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert!(err.to_string().contains("no stored plan"));
 
-        s.tune(&w, "k20", TuneParams::quick()).unwrap();
-        let (tuned, plan, path) = s.replay_from_store(&w, "k20", &time_only).unwrap();
+        s.tune(&tuner, "k20", TuneParams::quick()).unwrap();
+        let (tuned, plan, path) = s.replay_from_store(&tuner, "k20", &time_only).unwrap();
         assert!(path.exists());
         assert_eq!(tuned.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
 
         // Explicitly replaying under a different objective is refused:
         // the stored pick answers a question nobody asked.
         let err = s
-            .replay_from_store(&w, "k20", &crate::objective::Objective::balanced())
+            .replay_from_store(&tuner, "k20", &crate::objective::Objective::balanced())
             .unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert_eq!(err.exit_code(), 10);
@@ -543,7 +577,8 @@ mod tests {
         let root = temp_root("foreign_objective");
         let w = matmul(16);
         let s = TuningSession::with_store(&root).unwrap();
-        let time_tuned = s.tune(&w, "k20", TuneParams::quick()).unwrap();
+        let tuner = s.tuner_for(&w);
+        let time_tuned = s.tune(&tuner, "k20", TuneParams::quick()).unwrap();
         assert!(matches!(
             time_tuned.source,
             PlanSource::Searched { stored: Some(_) }
@@ -554,7 +589,7 @@ mod tests {
         // objective and overwrites the entry.
         let mut params = TuneParams::quick();
         params.objective = crate::objective::Objective::balanced();
-        let balanced = s.tune(&w, "k20", params).unwrap();
+        let balanced = s.tune(&tuner, "k20", params).unwrap();
         assert!(
             matches!(balanced.source, PlanSource::Searched { stored: Some(_) }),
             "a foreign-objective store entry must be a miss"
@@ -566,9 +601,9 @@ mod tests {
 
         // And now the balanced plan is the stored one: a balanced tune
         // hits, a time-only tune misses again.
-        let warm = s.tune(&w, "k20", params).unwrap();
+        let warm = s.tune(&tuner, "k20", params).unwrap();
         assert!(matches!(warm.source, PlanSource::StoreHit { .. }));
-        let cold = s.tune(&w, "k20", TuneParams::quick()).unwrap();
+        let cold = s.tune(&tuner, "k20", TuneParams::quick()).unwrap();
         assert!(matches!(cold.source, PlanSource::Searched { .. }));
     }
 
@@ -602,8 +637,45 @@ mod tests {
     fn non_searchable_backend_is_a_typed_search_error() {
         let w = matmul(16);
         let s = TuningSession::new();
-        let err = s.tune(&w, "cpu1", TuneParams::quick()).unwrap_err();
+        let err = s
+            .tune(&s.tuner_for(&w), "cpu1", TuneParams::quick())
+            .unwrap_err();
         assert_eq!(err.stage(), "search");
         assert!(err.to_string().contains("not searchable"));
+    }
+
+    #[test]
+    fn racing_callers_share_one_lowering() {
+        let w = matmul(16);
+        let s = TuningSession::new();
+        let barrier = std::sync::Barrier::new(4);
+        let tuners: Vec<Arc<WorkloadTuner>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        s.tuner_for(&w)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for t in &tuners {
+            assert!(Arc::ptr_eq(t, &tuners[0]), "one lowering per workload");
+        }
+        assert!(Arc::ptr_eq(&s.tuner_for(&w), &tuners[0]));
+        let other = s.tuner_for(&matmul(8));
+        assert!(!Arc::ptr_eq(&other, &tuners[0]));
+        assert_ne!(other.fingerprint(), tuners[0].fingerprint());
+    }
+
+    #[test]
+    fn tuning_the_session_lowering_fills_the_workload_cache() {
+        let w = matmul(16);
+        let s = TuningSession::new();
+        assert_eq!(s.cache_for(&w).time_stats().1, 0);
+        s.tune(&s.tuner_for(&w), "k20", TuneParams::quick())
+            .unwrap();
+        assert!(s.cache_for(&w).time_stats().1 > 0);
     }
 }

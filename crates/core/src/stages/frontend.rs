@@ -1,47 +1,14 @@
-//! Stage 1 — frontend: parse and validate DSL source into a typed,
-//! fingerprinted artifact.
+//! Stage 1 — frontend: the identity of a parsed, validated workload.
 //!
-//! A [`CompiledWorkload`] is a validated [`Workload`] plus a deterministic
-//! fingerprint over its canonical source and extents. The fingerprint is
-//! what lets a saved [`crate::plan::TunedPlan`] prove at replay time that it
-//! was tuned for *this* computation and not a stale or edited one.
+//! [`Workload::parse`] parses and validates DSL source; this stage gives
+//! the result a deterministic fingerprint over its canonical source and
+//! extents. The fingerprint is what lets a saved
+//! [`crate::plan::TunedPlan`] prove at replay time that it was tuned for
+//! *this* computation and not a stale or edited one, and what a
+//! [`crate::session::TuningSession`] files each workload's record under.
+//! [`crate::pipeline::WorkloadTuner::build`] computes it once per workload.
 
-use crate::error::BarracudaError;
 use crate::workload::Workload;
-use tensor::IndexMap;
-
-/// The frontend artifact: a validated workload plus its fingerprint.
-#[derive(Clone, Debug)]
-pub struct CompiledWorkload {
-    pub workload: Workload,
-    /// [`workload_fingerprint`] of the workload.
-    pub fingerprint: u64,
-}
-
-impl CompiledWorkload {
-    /// Parses and validates DSL source (see [`Workload::parse`]).
-    pub fn parse(
-        name: impl Into<String>,
-        src: &str,
-        dims: &IndexMap,
-    ) -> Result<CompiledWorkload, BarracudaError> {
-        Ok(Self::from_workload(Workload::parse(name, src, dims)?))
-    }
-
-    /// Wraps an already-validated workload.
-    pub fn from_workload(workload: Workload) -> CompiledWorkload {
-        let fingerprint = workload_fingerprint(&workload);
-        CompiledWorkload {
-            workload,
-            fingerprint,
-        }
-    }
-
-    /// Canonical DSL text of the workload (see [`canonical_source`]).
-    pub fn canonical_source(&self) -> String {
-        canonical_source(&self.workload)
-    }
-}
 
 /// Canonical DSL text of a workload: every statement printed by its
 /// `Display` form, one per line. Parsing this text back yields an equivalent
@@ -78,8 +45,8 @@ mod tests {
     use super::*;
     use tensor::index::uniform_dims;
 
-    fn mm(n: usize) -> CompiledWorkload {
-        CompiledWorkload::parse(
+    fn mm(n: usize) -> Workload {
+        Workload::parse(
             "mm",
             "C[i k] = Sum([j], A[i j] * B[j k])",
             &uniform_dims(&["i", "j", "k"], n),
@@ -90,40 +57,33 @@ mod tests {
     #[test]
     fn canonical_source_reparses_to_same_fingerprint() {
         let c = mm(8);
-        let again =
-            CompiledWorkload::parse("renamed", &c.canonical_source(), &c.workload.dims).unwrap();
-        assert_eq!(c.fingerprint, again.fingerprint);
+        let again = Workload::parse("renamed", &canonical_source(&c), &c.dims).unwrap();
+        assert_eq!(workload_fingerprint(&c), workload_fingerprint(&again));
     }
 
     #[test]
     fn fingerprint_tracks_source_and_extents() {
         let a = mm(8);
         let b = mm(16); // same source, different extents
-        assert_ne!(a.fingerprint, b.fingerprint);
-        let c = CompiledWorkload::parse(
+        assert_ne!(workload_fingerprint(&a), workload_fingerprint(&b));
+        let c = Workload::parse(
             "mm",
             "C[i k] = Sum([j], A[k i] * B[j k])",
             &uniform_dims(&["i", "j", "k"], 8),
         )
         .unwrap();
-        assert_ne!(a.fingerprint, c.fingerprint);
+        assert_ne!(workload_fingerprint(&a), workload_fingerprint(&c));
     }
 
     #[test]
     fn fingerprint_ignores_the_name() {
         let a = mm(8);
-        let b = CompiledWorkload::parse(
+        let b = Workload::parse(
             "completely_different",
             "C[i k] = Sum([j], A[i j] * B[j k])",
             &uniform_dims(&["i", "j", "k"], 8),
         )
         .unwrap();
-        assert_eq!(a.fingerprint, b.fingerprint);
-    }
-
-    #[test]
-    fn parse_errors_pass_through_typed() {
-        let err = CompiledWorkload::parse("bad", "C[i] =", &IndexMap::new()).unwrap_err();
-        assert_eq!(err.stage(), "parse");
+        assert_eq!(workload_fingerprint(&a), workload_fingerprint(&b));
     }
 }

@@ -1,67 +1,20 @@
-//! Stage 2 — lower: enumerate OCTOPI versions, lower each to TCR, build
-//! per-statement search spaces, and join them into one flat id space.
+//! Stage 2 — lower: the joint configuration space over every statement's
+//! OCTOPI versions × TCR configurations.
 //!
-//! The artifact is [`LoweredVersions`]: one [`StatementTuner`] per workload
-//! statement. The joint configuration space is the mixed-radix product of
-//! the per-statement spaces; the free functions here ([`total_space`],
-//! [`decode_joint`], [`encode_joint`], [`joint_features`], [`joint_flops`],
-//! [`map_joint`]) operate on any `&[StatementTuner]` slice so the facade,
-//! the evaluators and the search stage all share one implementation.
+//! [`crate::pipeline::WorkloadTuner::build`] lowers a workload into one
+//! [`StatementTuner`] per statement. The joint configuration space is the
+//! mixed-radix product of the per-statement spaces; the free functions here
+//! ([`total_space`], [`decode_joint`], [`encode_joint`], [`joint_features`],
+//! [`joint_flops`], [`map_joint`]) operate on any `&[StatementTuner]` slice
+//! so the tuner, the evaluators and the search stage all share one
+//! implementation.
 
 use crate::error::BarracudaError;
 use crate::quarantine::QuarantineReport;
-use crate::stages::frontend::CompiledWorkload;
 use crate::variant::StatementTuner;
 use crate::workload::Workload;
 use tcr::mapping::{map_programs, MapJob, MappedKernel};
 use tcr::{ArrayKind, TcrProgram};
-
-/// The lowering artifact: every statement's versions × configurations.
-#[derive(Clone, Debug)]
-pub struct LoweredVersions {
-    pub statements: Vec<StatementTuner>,
-}
-
-impl LoweredVersions {
-    /// Enumerates, lowers and space-builds every statement of `workload`.
-    /// Statements are independent, so each is built on the rayon pool
-    /// (order-preserving: offsets and ids match the serial construction).
-    pub fn build(workload: &Workload) -> LoweredVersions {
-        let idx: Vec<usize> = (0..workload.statements.len()).collect();
-        let statements = rayon::par_map_slice(&idx, |&i| {
-            StatementTuner::build(
-                &format!("{}_{}", workload.name, i),
-                &workload.statements[i],
-                &workload.dims,
-            )
-        });
-        LoweredVersions { statements }
-    }
-
-    /// [`LoweredVersions::build`] from the frontend artifact.
-    pub fn from_compiled(compiled: &CompiledWorkload) -> LoweredVersions {
-        Self::build(&compiled.workload)
-    }
-
-    /// Prunes every statement's space in place (§VIII future work; see
-    /// `tcr::prune`).
-    pub fn prune(&mut self, rules: &tcr::PruneRules) {
-        for st in &mut self.statements {
-            st.prune(rules);
-        }
-    }
-
-    /// Total joint configurations (product of per-statement spaces).
-    pub fn total_space(&self) -> u128 {
-        total_space(&self.statements)
-    }
-
-    /// Quarantine report of this stage: every version whose lowering
-    /// failed, per statement.
-    pub fn quarantine(&self) -> QuarantineReport {
-        build_quarantine(&self.statements)
-    }
-}
 
 /// Total joint configurations (product of per-statement spaces).
 pub fn total_space(statements: &[StatementTuner]) -> u128 {
@@ -295,16 +248,17 @@ pub fn map_joint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::WorkloadTuner;
     use tensor::index::uniform_dims;
 
-    fn lowered_pair() -> (Workload, LoweredVersions) {
+    fn lowered_pair() -> (Workload, WorkloadTuner) {
         let w = Workload::parse(
             "pair",
             "T[i l] = Sum([j], A[i j] * B[j l])\nC[i k] = Sum([l], T[i l] * D[l k])",
             &uniform_dims(&["i", "j", "k", "l"], 6),
         )
         .unwrap();
-        let lowered = LoweredVersions::build(&w);
+        let lowered = WorkloadTuner::build(&w);
         (w, lowered)
     }
 
@@ -313,7 +267,7 @@ mod tests {
         let (_, lowered) = lowered_pair();
         assert_eq!(lowered.statements.len(), 2);
         assert!(lowered.total_space() > 0);
-        assert_eq!(lowered.quarantine().versions(), 0);
+        assert_eq!(build_quarantine(&lowered.statements).versions(), 0);
     }
 
     #[test]
@@ -368,7 +322,7 @@ mod tests {
             &uniform_dims(&["i", "j", "k", "l", "m", "n"], 6),
         )
         .unwrap();
-        let lowered = LoweredVersions::build(&w);
+        let lowered = WorkloadTuner::build(&w);
         let st = &lowered.statements[0];
         let peaks: Vec<u64> = st
             .variants

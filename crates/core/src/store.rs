@@ -648,7 +648,15 @@ mod tests {
         assert_eq!(plan, back);
         assert_eq!(plan.gpu_seconds.to_bits(), back.gpu_seconds.to_bits());
         // Replays straight out of the store.
-        let replayed = back.replay(&EvalCache::new()).unwrap();
+        let w = back.workload().unwrap();
+        let replayed = back
+            .replay_built_in(
+                &crate::BackendSet::builtin(),
+                &w,
+                &WorkloadTuner::build(&w),
+                &EvalCache::new(),
+            )
+            .unwrap();
         assert_eq!(replayed.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
     }
 

@@ -138,6 +138,50 @@ fn missing_extent_exits_4_validation() {
     assert!(err.contains("statement"), "stderr: {err}");
 }
 
+/// A contraction whose three minimal-flop versions start with a scalar
+/// temporary (`t1:() += A:(i)*B:(i)`): that op has no parallel loop, so
+/// there is nothing to map onto GPU threads.
+fn scalar_temp_dsl(tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "barracuda_cli_scalar_temp_{tag}_{}.dsl",
+        std::process::id()
+    ));
+    std::fs::write(&path, "S[k] = Sum([i j], A[i] * B[i] * C[j k] * D[j])").unwrap();
+    path
+}
+
+#[test]
+fn scalar_temp_versions_are_quarantined_and_the_rest_tune() {
+    let path = scalar_temp_dsl("tune");
+    let out = bin()
+        .args(["tune", path.to_str().unwrap(), "--dims", "3", "--quick"])
+        .args(["--arch", "k20", "--validate"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stdout: {text}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("quarantine: 3 entries"), "stdout: {text}");
+    assert!(text.contains("validation: OK"), "stdout: {text}");
+}
+
+#[test]
+fn naive_openacc_on_a_scalar_output_exits_6_mapping() {
+    let path = scalar_temp_dsl("acc");
+    let out = bin()
+        .args(["tune", path.to_str().unwrap(), "--dims", "3", "--quick"])
+        .args(["--backend", "acc-naive"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(6), "stderr: {err}");
+    assert!(err.contains("error[mapping]"), "stderr: {err}");
+}
+
 #[test]
 fn saturated_fault_injection_exits_8_search() {
     let out = bin()

@@ -60,7 +60,7 @@ fn session_tuning_matches_direct_arch_tuning_bitwise() {
         let arch = gpusim::arch_by_key(key).unwrap();
         let direct = tuner.autotune(&arch, params()).unwrap();
         let session = TuningSession::new();
-        let via_set = session.tune_built(&tuner, key, params()).unwrap().tuned;
+        let via_set = session.tune(&tuner, key, params()).unwrap().tuned;
         assert_eq!(via_set.id, direct.id, "{key}: picked configuration");
         assert_eq!(
             via_set.gpu_seconds.to_bits(),
@@ -117,7 +117,7 @@ fn custom_descriptor_round_trips_tune_store_serve() {
         .with_backends(Arc::new(set));
     let w = barracuda::kernels::builtin("eqn1").unwrap();
     let tuner = WorkloadTuner::build(&w);
-    let out = session.tune_built(&tuner, "k20x", params()).unwrap();
+    let out = session.tune(&tuner, "k20x", params()).unwrap();
     assert!(
         matches!(
             out.source,

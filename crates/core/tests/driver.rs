@@ -1,4 +1,4 @@
-//! End-to-end driver tests: the facade API over the staged pipeline.
+//! End-to-end driver tests: the one-call API over the staged pipeline.
 //!
 //! These exercise the whole chain (frontend → lower → space → evaluate →
 //! search) through `WorkloadTuner`, pinning correctness, determinism,
@@ -230,27 +230,25 @@ fn pool_sampling_is_deterministic_and_distinct() {
 }
 
 #[test]
-fn facade_matches_staged_driver_bit_for_bit() {
-    // Driving the stages by hand must reproduce the facade exactly.
-    use barracuda::stages::{self, CompiledWorkload, LoweredVersions, SearchSpace};
+fn tuner_matches_staged_driver_bit_for_bit() {
+    // Driving the stages by hand over one lowering must reproduce the
+    // tuner's own autotune over another lowering exactly.
+    use barracuda::stages::{self, frontend, lower, space};
     let w = eqn1_workload(6);
-    let compiled = CompiledWorkload::from_workload(w.clone());
-    let lowered = LoweredVersions::from_compiled(&compiled);
+    let lowered = WorkloadTuner::build(&w);
+    assert_eq!(lowered.fingerprint(), frontend::workload_fingerprint(&w));
     let params = TuneParams::quick();
-    let space = SearchSpace::from_lowered(&lowered, params.pool_cap, params.seed);
-    assert_eq!(space.space_size, lowered.total_space());
+    let pool = space::joint_pool(&lowered.statements, params.pool_cap, params.seed);
+    assert!(pool.len() as u128 <= lower::total_space(&lowered.statements));
     let arch = gpusim::k20();
     let cache = EvalCache::new();
-    let staged = stages::search::autotune_joint(
-        &compiled.workload,
-        &lowered.statements,
-        &arch,
-        params,
-        &cache,
-    )
-    .unwrap();
-    let facade = WorkloadTuner::build(&w).autotune(&arch, params).unwrap();
-    assert_eq!(staged.id, facade.id);
-    assert_eq!(staged.gpu_seconds.to_bits(), facade.gpu_seconds.to_bits());
-    assert_eq!(staged.search.n_evals, facade.search.n_evals);
+    let staged =
+        stages::search::autotune_joint(&w, &lowered.statements, &arch, params, &cache).unwrap();
+    let tuner = WorkloadTuner::build(&w);
+    assert_eq!(pool, tuner.pool(params.pool_cap, params.seed));
+    let tuned = tuner.autotune(&arch, params).unwrap();
+    assert_eq!(staged.id, tuned.id);
+    assert_eq!(staged.gpu_seconds.to_bits(), tuned.gpu_seconds.to_bits());
+    assert_eq!(staged.search.n_evals, tuned.search.n_evals);
+    assert_eq!(staged.search.space_size, tuner.total_space());
 }

@@ -285,7 +285,16 @@ proptest! {
             ))),
         };
         let (_, misses_before) = cache.time_stats();
-        let replayed = loaded.replay(&cache).unwrap();
+        // Replay on the workload embedded in the plan, lowered afresh.
+        let embedded = loaded.workload().unwrap();
+        let replayed = loaded
+            .replay_built_in(
+                &BackendSet::builtin(),
+                &embedded,
+                &WorkloadTuner::build(&embedded),
+                &cache,
+            )
+            .unwrap();
         let (_, misses_after) = cache.time_stats();
         prop_assert_eq!(replayed.id, tuned.id);
         prop_assert_eq!(replayed.gpu_seconds.to_bits(), tuned.gpu_seconds.to_bits());

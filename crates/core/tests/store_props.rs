@@ -162,7 +162,15 @@ proptest! {
         let back = store.lookup(&StoreKey::of_plan(&plan)).unwrap().unwrap();
         prop_assert_eq!(&plan, &back);
         prop_assert_eq!(plan.gpu_seconds.to_bits(), back.gpu_seconds.to_bits());
-        let replayed = back.replay(&EvalCache::new()).unwrap();
+        let embedded = back.workload().unwrap();
+        let replayed = back
+            .replay_built_in(
+                &BackendSet::builtin(),
+                &embedded,
+                &WorkloadTuner::build(&embedded),
+                &EvalCache::new(),
+            )
+            .unwrap();
         prop_assert_eq!(replayed.gpu_seconds.to_bits(), tuned.gpu_seconds.to_bits());
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -270,7 +270,7 @@ pub fn time_kernel(kernel: &MappedKernel, arch: &GpuArch) -> KernelTiming {
 /// Total time of one kernel (`time_kernel(..).time_s`) without building the
 /// breakdown struct or cloning the kernel name — the memoized per-op hot
 /// path's variant. Bitwise identical to the full path: both compute the
-/// same [`kernel_bounds`].
+/// same `kernel_bounds`.
 pub fn kernel_time_s(kernel: &MappedKernel, arch: &GpuArch) -> f64 {
     let b = kernel_bounds(kernel, arch);
     let launch_s = arch.kernel_launch_us * 1e-6;

@@ -2,7 +2,7 @@
 //!
 //! The TCE line of work the paper builds on identifies "cost-effective
 //! common subexpressions to reduce operation count" (Hartono et al., ICCS
-//! 2006 — reference [13] of the paper). This module finds factorization
+//! 2006 — reference \[13\] of the paper). This module finds factorization
 //! steps in *different statements* of a workload that compute the same
 //! tensor (same input operands with the same index binding, same summation
 //! set) — the second occurrence can reuse the first's temporary instead of

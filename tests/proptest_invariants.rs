@@ -326,7 +326,7 @@ proptest! {
         let params = TuneParams::quick();
         let store = TempStore::new();
         let cold = TuningSession::with_store(&store.0)
-            .and_then(|s| s.tune_built(&tuner, "k20", params));
+            .and_then(|s| s.tune(&tuner, "k20", params));
         prop_assert!(cold.is_ok(), "tune failed: {:?}", cold.err());
         let warm = TuningSession::with_store(&store.0)
             .and_then(|s| s.replay_hit(&tuner, "k20", &params.objective));
