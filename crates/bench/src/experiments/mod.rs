@@ -30,19 +30,12 @@ pub fn experiment_params() -> TuneParams {
 /// these experiments time CUDA mappings.
 pub fn archs_from_args(args: &[String], default: &[GpuArch]) -> Result<Vec<GpuArch>, String> {
     let mut backend: Option<String> = None;
-    let mut set = barracuda::BackendSet::builtin();
-    let mut loaded: Vec<String> = Vec::new();
+    let mut files: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--backend" => backend = Some(it.next().ok_or("--backend needs a key")?.clone()),
-            "--arch-file" => {
-                let path = it.next().ok_or("--arch-file needs a path")?;
-                let key = set
-                    .load_arch_file(std::path::Path::new(path))
-                    .map_err(|e| e.to_string())?;
-                loaded.push(key);
-            }
+            "--arch-file" => files.push(it.next().ok_or("--arch-file needs a path")?.clone()),
             other => {
                 return Err(format!(
                     "unknown option {other} (only --backend KEY|all and --arch-file PATH)"
@@ -50,29 +43,12 @@ pub fn archs_from_args(args: &[String], default: &[GpuArch]) -> Result<Vec<GpuAr
             }
         }
     }
-    let arch_of = |key: &str| -> Result<GpuArch, String> {
-        let b = set.get(key).ok_or_else(|| {
-            format!(
-                "unknown backend {key} (one of: {}, all)",
-                set.keys().join(", ")
-            )
-        })?;
-        match b.arch() {
-            Some(arch) if b.caps().searchable => Ok(arch.clone()),
-            _ => Err(format!(
-                "backend {key} is not a searchable GPU target; this bench times CUDA mappings"
-            )),
-        }
-    };
+    let (set, loaded) =
+        barracuda::BackendSet::with_descriptors(&files, None).map_err(|e| e.to_string())?;
     match backend.as_deref() {
         None if loaded.is_empty() => Ok(default.to_vec()),
-        None => loaded.iter().map(|k| arch_of(k)).collect(),
-        Some("all") => Ok(set
-            .iter()
-            .filter(|b| b.caps().searchable)
-            .filter_map(|b| b.arch().cloned())
-            .collect()),
-        Some(key) => Ok(vec![arch_of(key)?]),
+        None => loaded.iter().map(|k| set.searchable(k).cloned()).collect(),
+        Some(key) => set.gpu_targets(key),
     }
 }
 

@@ -5,10 +5,13 @@
 //! K20, C2050), sequential and 4-thread OpenMP CPU baselines, and the two
 //! OpenACC analogs (naive and Barracuda-optimized directives). Before this
 //! module each target had its own entry point with its own calling
-//! convention; the [`Backend`] trait gives them one interface — time a
-//! configuration, validate it, describe yourself — and [`BackendSet`] makes
-//! them addressable by stable string keys (`gtx980`, `cpu4`, `acc-opt`, …)
-//! from the CLI, the bench binaries and the tests alike.
+//! convention; the [`Backend`] trait gives them one interface — name
+//! yourself, time a configuration — and [`BackendSet`] makes them
+//! addressable by stable string keys (`gtx980`, `cpu4`, `acc-opt`, …)
+//! from the CLI, the daemon, the bench binaries and the tests alike, which
+//! load descriptors ([`BackendSet::with_descriptors`]) and resolve search
+//! targets ([`BackendSet::searchable`], [`BackendSet::gpu_targets`])
+//! through the set.
 //!
 //! Backends are *data*: every GPU architecture is an
 //! [`gpusim::ArchDescriptor`] (the built-ins ship as embedded TOML), and a
@@ -60,9 +63,6 @@ pub trait Backend: Send + Sync {
     /// Human-readable name (`"GTX 980"`, `"Haswell CPU, 4 threads"`).
     fn name(&self) -> String;
 
-    /// One-line description of what the backend models.
-    fn describe(&self) -> String;
-
     /// The GPU architecture descriptor the backend times against, when it
     /// has one (CPU baselines return `None`).
     fn arch(&self) -> Option<&GpuArch>;
@@ -77,12 +77,10 @@ pub trait Backend: Send + Sync {
 
     /// End-to-end modeled seconds (device + transfers, or CPU wall time) of
     /// configuration `id` of the tuner's workload. Backends whose time does
-    /// not depend on the configuration (CPU baselines) ignore `id`.
+    /// not depend on the configuration (CPU baselines) ignore `id`. A
+    /// configuration that does not lower or map on this backend is the
+    /// typed error of the failing stage.
     fn time_config(&self, tuner: &WorkloadTuner, id: u128) -> Result<f64, BarracudaError>;
-
-    /// Checks that configuration `id` lowers and maps cleanly on this
-    /// backend without timing it.
-    fn validate(&self, tuner: &WorkloadTuner, id: u128) -> Result<(), BarracudaError>;
 }
 
 /// A simulated CUDA GPU: one of the paper's three architectures, or any
@@ -99,11 +97,6 @@ impl GpuBackend {
         let digest = ArchDescriptor::from_arch(arch.clone()).digest();
         GpuBackend { arch, digest }
     }
-
-    /// The descriptor digest (same value as [`Backend::cache_salt`]).
-    pub fn descriptor_digest(&self) -> u64 {
-        self.digest
-    }
 }
 
 impl Backend for GpuBackend {
@@ -113,13 +106,6 @@ impl Backend for GpuBackend {
 
     fn name(&self) -> String {
         self.arch.name.to_string()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "simulated {} ({}, {} SMs)",
-            self.arch.name, self.arch.generation, self.arch.sm_count
-        )
     }
 
     fn arch(&self) -> Option<&GpuArch> {
@@ -140,10 +126,6 @@ impl Backend for GpuBackend {
 
     fn time_config(&self, tuner: &WorkloadTuner, id: u128) -> Result<f64, BarracudaError> {
         Ok(tuner.try_gpu_seconds(id, &self.arch)? + tuner.transfer_seconds(&self.arch))
-    }
-
-    fn validate(&self, tuner: &WorkloadTuner, id: u128) -> Result<(), BarracudaError> {
-        tuner.kernels(id).map(|_| ())
     }
 }
 
@@ -180,13 +162,6 @@ impl Backend for CpuBackend {
         }
     }
 
-    fn describe(&self) -> String {
-        format!(
-            "modeled Haswell core(s), best-flop sequential lowering on {} thread(s)",
-            self.threads
-        )
-    }
-
     fn arch(&self) -> Option<&GpuArch> {
         None
     }
@@ -208,10 +183,6 @@ impl Backend for CpuBackend {
         // configuration id does not apply. Validate the lowering, then time.
         try_cpu_programs(&tuner.workload)?;
         Ok(workload_cpu_time(&tuner.workload, &self.model, self.threads).time_s)
-    }
-
-    fn validate(&self, tuner: &WorkloadTuner, _id: u128) -> Result<(), BarracudaError> {
-        try_cpu_programs(&tuner.workload).map(|_| ())
     }
 }
 
@@ -276,15 +247,6 @@ impl Backend for AccBackend {
         }
     }
 
-    fn describe(&self) -> String {
-        if self.optimized {
-            "OpenACC with Barracuda-derived decomposition directives + scalar replacement"
-                .to_string()
-        } else {
-            "OpenACC with default gang/vector placement, no scalar replacement".to_string()
-        }
-    }
-
     fn arch(&self) -> Option<&GpuArch> {
         Some(&self.arch)
     }
@@ -307,10 +269,6 @@ impl Backend for AccBackend {
         Ok(self
             .mapping(tuner, id)?
             .total_seconds(&tuner.workload, &self.arch))
-    }
-
-    fn validate(&self, tuner: &WorkloadTuner, id: u128) -> Result<(), BarracudaError> {
-        self.mapping(tuner, id).map(|_| ())
     }
 }
 
@@ -351,6 +309,58 @@ impl BackendSet {
                 BackendSet { backends: v }
             })
             .clone()
+    }
+
+    /// The built-ins, then each descriptor file in order, then every
+    /// `*.toml` in `dir` sorted by file name (`--arch-file`, `--arch-dir`).
+    /// Also returns the keys the descriptors added, in load order.
+    pub fn with_descriptors(
+        files: &[impl AsRef<Path>],
+        dir: Option<&Path>,
+    ) -> Result<(BackendSet, Vec<String>), BarracudaError> {
+        let mut set = BackendSet::builtin();
+        let mut loaded = Vec::new();
+        for file in files {
+            loaded.push(set.load_arch_file(file.as_ref())?);
+        }
+        if let Some(dir) = dir {
+            loaded.extend(set.load_arch_dir(dir)?);
+        }
+        Ok((set, loaded))
+    }
+
+    /// The architecture of the searchable backend `key` names, or the
+    /// reason there is none (unknown key, or a backend with no search of
+    /// its own).
+    pub fn searchable(&self, key: &str) -> Result<&GpuArch, String> {
+        let reason = |what: &str| {
+            let keys: Vec<&str> = self
+                .iter()
+                .filter(|b| b.caps().searchable)
+                .map(|b| b.key())
+                .collect();
+            format!("{what} (searchable: {})", keys.join(", "))
+        };
+        match self.get(key) {
+            None => Err(reason(&format!("unknown architecture {key}"))),
+            Some(b) => match b.arch() {
+                Some(arch) if b.caps().searchable => Ok(arch),
+                _ => Err(reason(&format!("backend {key} is not searchable"))),
+            },
+        }
+    }
+
+    /// The architectures `key` targets: [`BackendSet::searchable`]'s for
+    /// one key, or every searchable backend's, in set order, for `all`.
+    pub fn gpu_targets(&self, key: &str) -> Result<Vec<GpuArch>, String> {
+        if key == "all" {
+            return Ok(self
+                .iter()
+                .filter(|b| b.caps().searchable)
+                .filter_map(|b| b.arch().cloned())
+                .collect());
+        }
+        Ok(vec![self.searchable(key)?.clone()])
     }
 
     /// Registers a GPU architecture as a searchable backend. Keys and
@@ -532,7 +542,6 @@ mod tests {
         let tuner = WorkloadTuner::build(&w);
         let tuned = tuner.autotune(&gpusim::k20(), TuneParams::quick()).unwrap();
         for b in BackendSet::builtin().iter() {
-            b.validate(&tuner, tuned.id).unwrap();
             let t = b.time_config(&tuner, tuned.id).unwrap();
             assert!(t.is_finite() && t > 0.0, "{}: {t}", b.key());
         }

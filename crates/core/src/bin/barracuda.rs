@@ -46,7 +46,9 @@
 //!                                 re-maps and re-times it with no search
 //!   --dim IDX=EXT                 extent for one index (repeatable)
 //!   --dims N                      extent for every undeclared index
-//!   --evals N                     SURF evaluation budget (default 1200)
+//!   --evals N                     SURF evaluation budget (default: the
+//!                                 profile's own, 1200, or 40 under
+//!                                 --quick)
 //!   --objective time|memory|balanced
 //!                                 search objective preset (default time:
 //!                                 rank candidates by simulated time only,
@@ -69,7 +71,8 @@
 //!                                 large penalty instead of pruning them
 //!                                 (they still train the surrogate; the
 //!                                 final pick still respects the budget)
-//!   --quick                       small search budget (tests/demos)
+//!   --quick                       the quick profile: small forest and
+//!                                 pool, 40 evaluations (tests/demos)
 //!   --deadline S                  wall-clock search deadline in seconds
 //!   --min-survivors F             stop early when fewer than F of the
 //!                                 attempts survive quarantine (0..1)
@@ -121,10 +124,12 @@
 //! s1_1..s1_9, d1_1..d1_9, d2_1..d2_9.
 
 use barracuda::prelude::*;
-use barracuda::report::{fmt_f, fmt_timing};
+use barracuda::report::{fmt_f, fmt_timing, fmt_tune};
 use barracuda::{
-    BackendSet, EvalCache, PlanStore, TunedPlan, TunedWorkload, TuningSession, PLAN_SCHEMA_VERSION,
+    BackendSet, BackendTuning, EvalCache, PlanStore, TunedPlan, TunedWorkload, TuningSession,
+    PLAN_SCHEMA_VERSION,
 };
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use surf::{FaultPlan, SearchStatus};
@@ -132,14 +137,15 @@ use tensor::IndexMap;
 
 struct Options {
     arch: Option<String>,
-    arch_files: Vec<String>,
-    arch_dir: Option<String>,
+    arch_files: Vec<PathBuf>,
+    arch_dir: Option<PathBuf>,
     backend: Option<String>,
     store: Option<String>,
     save_plan: Option<String>,
     dims: IndexMap,
     default_dim: Option<usize>,
-    evals: usize,
+    /// `--evals`; `None` keeps the profile's own budget.
+    evals: Option<usize>,
     quick: bool,
     deadline: Option<f64>,
     min_survivors: f64,
@@ -172,7 +178,7 @@ impl Default for Options {
             save_plan: None,
             dims: IndexMap::new(),
             default_dim: None,
-            evals: 1200,
+            evals: None,
             quick: false,
             deadline: None,
             min_survivors: 0.0,
@@ -240,7 +246,7 @@ fn usage() -> ExitCode {
          [<file.dsl>|builtin:NAME|<plan.json>] \
          [--arch A] [--arch-file PATH]... [--arch-dir DIR] \
          [--backend KEY|all] [--store DIR] [--save-plan PATH] \
-         [--dim i=10]... [--dims N] [--evals N] [--quick] \
+         [--dim i=10]... [--dims N] [--evals N (default 1200, 40 with --quick)] [--quick] \
          [--objective time|memory|balanced] [--mem-budget BYTES] \
          [--mem-weight W] [--rw-weight W] [--mem-penalize] \
          [--deadline S] [--min-survivors F] [--inject-faults RATE] \
@@ -262,12 +268,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut rw_weight: Option<f64> = None;
     let mut mem_budget: Option<u64> = None;
     let mut mem_penalize = false;
-    let weight = |flag: &str, raw: &str| -> Result<f64, String> {
-        let w: f64 = raw.parse().map_err(|_| format!("bad {flag} weight"))?;
-        if !w.is_finite() || w < 0.0 {
-            return Err(format!("{flag} must be finite and non-negative"));
-        }
-        Ok(w)
+    let weight = |flag: &str, raw: Option<&String>| -> Result<f64, String> {
+        raw.ok_or_else(|| format!("{flag} needs W"))?
+            .parse()
+            .map_err(|_| format!("bad {flag} weight"))
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -275,9 +279,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--arch" => o.arch = Some(it.next().ok_or("--arch needs a value")?.clone()),
             "--arch-file" => o
                 .arch_files
-                .push(it.next().ok_or("--arch-file needs a path")?.clone()),
+                .push(it.next().ok_or("--arch-file needs a path")?.into()),
             "--arch-dir" => {
-                o.arch_dir = Some(it.next().ok_or("--arch-dir needs a directory")?.clone())
+                o.arch_dir = Some(it.next().ok_or("--arch-dir needs a directory")?.into())
             }
             "--backend" => o.backend = Some(it.next().ok_or("--backend needs a key")?.clone()),
             "--store" => o.store = Some(it.next().ok_or("--store needs a directory")?.clone()),
@@ -299,11 +303,12 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 )
             }
             "--evals" => {
-                o.evals = it
-                    .next()
-                    .ok_or("--evals needs N")?
-                    .parse()
-                    .map_err(|_| "bad N")?
+                o.evals = Some(
+                    it.next()
+                        .ok_or("--evals needs N")?
+                        .parse()
+                        .map_err(|_| "bad N")?,
+                )
             }
             "--quick" => o.quick = true,
             "--deadline" => {
@@ -373,18 +378,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--objective" => {
                 objective_name = Some(it.next().ok_or("--objective needs a preset")?.clone())
             }
-            "--mem-weight" => {
-                mem_weight = Some(weight(
-                    "--mem-weight",
-                    it.next().ok_or("--mem-weight needs W")?,
-                )?)
-            }
-            "--rw-weight" => {
-                rw_weight = Some(weight(
-                    "--rw-weight",
-                    it.next().ok_or("--rw-weight needs W")?,
-                )?)
-            }
+            "--mem-weight" => mem_weight = Some(weight("--mem-weight", it.next())?),
+            "--rw-weight" => rw_weight = Some(weight("--rw-weight", it.next())?),
             "--mem-budget" => {
                 mem_budget = Some(
                     it.next()
@@ -397,29 +392,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
-    // Assemble the objective from its flags: preset first, then explicit
-    // weight/budget overrides on top of it.
-    let mut obj = match objective_name.as_deref() {
-        None => Objective::time_only(),
-        Some(name) => Objective::preset(name)
-            .ok_or_else(|| format!("unknown objective preset {name} (time|memory|balanced)"))?,
-    };
-    if let Some(w) = mem_weight {
-        obj.mem_weight = w;
-    }
-    if let Some(w) = rw_weight {
-        obj.rw_weight = w;
-    }
-    if let Some(b) = mem_budget {
-        obj.mem_budget = Some(b);
-    }
-    if mem_penalize {
-        if obj.mem_budget.is_none() {
-            return Err("--mem-penalize needs --mem-budget".to_string());
-        }
-        obj.budget_mode = BudgetMode::Penalize;
-    }
-    o.objective = obj;
+    o.objective = Objective::from_request(
+        objective_name.as_deref(),
+        mem_weight,
+        rw_weight,
+        mem_budget,
+        mem_penalize,
+    )?;
     Ok(o)
 }
 
@@ -458,14 +437,7 @@ fn load_workload(spec: &str, o: &Options) -> Result<Workload, CliError> {
 /// the keys the flags loaded, in load order — the first one is the
 /// default target when no `--arch`/`--backend` was given.
 fn backend_set_for(o: &Options) -> Result<(Arc<BackendSet>, Vec<String>), CliError> {
-    let mut set = BackendSet::builtin();
-    let mut loaded = Vec::new();
-    for file in &o.arch_files {
-        loaded.push(set.load_arch_file(std::path::Path::new(file))?);
-    }
-    if let Some(dir) = &o.arch_dir {
-        loaded.extend(set.load_arch_dir(std::path::Path::new(dir))?);
-    }
+    let (set, loaded) = BackendSet::with_descriptors(&o.arch_files, o.arch_dir.as_deref())?;
     Ok((Arc::new(set), loaded))
 }
 
@@ -478,42 +450,9 @@ fn default_target(o: &Options, loaded: &[String]) -> String {
         .unwrap_or_else(|| "gtx980".to_string())
 }
 
-fn archs_for(set: &BackendSet, name: &str) -> Result<Vec<gpusim::GpuArch>, CliError> {
-    if name == "all" {
-        return Ok(set
-            .iter()
-            .filter(|b| b.caps().searchable)
-            .filter_map(|b| b.arch().cloned())
-            .collect());
-    }
-    let unknown = || {
-        let keys: Vec<&str> = set
-            .iter()
-            .filter(|b| b.caps().searchable)
-            .map(|b| b.key())
-            .collect();
-        CliError::Usage(format!(
-            "unknown architecture {name} ({}|all)",
-            keys.join("|")
-        ))
-    };
-    let b = set.get(name).ok_or_else(unknown)?;
-    match b.arch() {
-        Some(a) if b.caps().searchable => Ok(vec![a.clone()]),
-        _ => Err(unknown()),
-    }
-}
-
 fn params_for(o: &Options) -> TuneParams {
-    let mut p = if o.quick {
-        TuneParams::quick()
-    } else {
-        TuneParams::paper()
-    };
-    p.surf.max_evals = o.evals;
-    p.wall_deadline_s = o.deadline;
+    let mut p = TuneParams::profile(o.quick, o.evals, o.deadline, o.objective);
     p.min_survivor_fraction = o.min_survivors;
-    p.objective = o.objective;
     if let Some(rate) = o.inject_faults {
         p.fault_injection = Some(FaultPlan::mixed(rate, o.fault_seed));
     }
@@ -573,7 +512,6 @@ fn cmd_info(w: &Workload) {
 /// `acc-naive`, `acc-opt`): no SURF run of their own — `acc-opt` first
 /// tunes on its reference architecture to borrow a configuration.
 fn cmd_tune_baseline(
-    w: &Workload,
     tuner: &WorkloadTuner,
     backend: &dyn barracuda::Backend,
     o: &Options,
@@ -599,17 +537,12 @@ fn cmd_tune_baseline(
     } else {
         0
     };
-    backend.validate(tuner, id)?;
-    let total = backend.time_config(tuner, id)?;
-    let flops: u64 = barracuda::cpu::try_cpu_programs(w)?
-        .iter()
-        .map(|p| p.flops())
-        .sum();
+    let row = BackendTuning::derived(backend, tuner, id, &mut None)?;
     println!(
         "{:28} {:>10} us total  {:>8} GF  (modeled baseline, no search)",
-        backend.name(),
-        fmt_f(total * 1e6),
-        fmt_f(flops as f64 / total / 1e9),
+        row.name,
+        fmt_f(row.total_seconds * 1e6),
+        fmt_f(row.gflops),
     );
     Ok(())
 }
@@ -665,13 +598,15 @@ fn cmd_tune(w: &Workload, o: &Options) -> Result<(), CliError> {
                 ))
             })?;
             if !backend.caps().searchable {
-                return cmd_tune_baseline(w, &tuner, backend.as_ref(), o, params);
+                return cmd_tune_baseline(&tuner, backend.as_ref(), o, params);
             }
             // A searchable backend is a GPU architecture: same path as
             // --arch.
-            archs_for(&set, key)?
+            set.gpu_targets(key).map_err(CliError::Usage)?
         }
-        None => archs_for(&set, &default_target(o, &loaded))?,
+        None => set
+            .gpu_targets(&default_target(o, &loaded))
+            .map_err(CliError::Usage)?,
     };
     if o.save_plan.is_some() && archs.len() > 1 {
         return Err(CliError::Usage(
@@ -681,12 +616,7 @@ fn cmd_tune(w: &Workload, o: &Options) -> Result<(), CliError> {
     for arch in archs {
         let out = session.tune(&tuner, &arch.key, params)?;
         let tuned = &out.tuned;
-        println!(
-            "{}  ({} evals, space {})",
-            fmt_timing(tuned),
-            tuned.search.n_evals,
-            tuned.search.space_size,
-        );
+        println!("{}", fmt_tune(tuned));
         // Non-default objectives annotate the pick; the default (time-only)
         // prints nothing extra so historical output stays byte-identical.
         if !tuned.objective.is_time_only() {
@@ -1060,17 +990,8 @@ fn cmd_serve(o: &Options) -> Result<(), CliError> {
         .backend
         .clone()
         .unwrap_or_else(|| default_target(o, &loaded));
-    let b = set.get(&backend).ok_or_else(|| {
-        CliError::Usage(format!(
-            "serve needs a loaded backend as its default, not {backend} (one of: {})",
-            set.keys().join(", ")
-        ))
-    })?;
-    if !b.caps().searchable {
-        return Err(CliError::Usage(format!(
-            "serve default backend {backend} is not searchable — pick a GPU backend"
-        )));
-    }
+    set.searchable(&backend)
+        .map_err(|reason| CliError::Usage(format!("serve default backend: {reason}")))?;
     let listen = match &o.listen {
         Some(spec) => barracuda::Listen::parse(spec)?,
         None => barracuda::Listen::Stdio,
@@ -1079,13 +1000,13 @@ fn cmd_serve(o: &Options) -> Result<(), CliError> {
         store: o.store.as_ref().map(std::path::PathBuf::from),
         backend,
         quick: o.quick,
-        evals: Some(o.evals),
+        evals: o.evals,
         deadline_s: o.deadline,
         max_searches: o.max_searches,
         queue: o.queue,
         durable: o.fsync,
-        arch_files: o.arch_files.iter().map(std::path::PathBuf::from).collect(),
-        arch_dir: o.arch_dir.as_ref().map(std::path::PathBuf::from),
+        arch_files: o.arch_files.clone(),
+        arch_dir: o.arch_dir.clone(),
         ..barracuda::ServeOptions::default()
     })?);
     barracuda::serve::transport::run(daemon, &listen)?;

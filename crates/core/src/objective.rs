@@ -133,6 +133,45 @@ impl Objective {
         }
     }
 
+    /// The objective a tuning request asks for, from the CLI's flags or a
+    /// daemon request's fields alike: the preset (time-only when absent),
+    /// then the weight overrides, then the budget. Weights must be finite
+    /// and non-negative, and `penalize` needs a budget to penalize against.
+    pub fn from_request(
+        preset: Option<&str>,
+        mem_weight: Option<f64>,
+        rw_weight: Option<f64>,
+        mem_budget: Option<u64>,
+        penalize: bool,
+    ) -> Result<Objective, String> {
+        let mut o = match preset {
+            None => Objective::time_only(),
+            Some(name) => Objective::preset(name)
+                .ok_or_else(|| format!("unknown objective preset {name} (time|memory|balanced)"))?,
+        };
+        for (name, weight, slot) in [
+            ("memory", mem_weight, &mut o.mem_weight),
+            ("read/write", rw_weight, &mut o.rw_weight),
+        ] {
+            if let Some(w) = weight {
+                if !w.is_finite() || w < 0.0 {
+                    return Err(format!(
+                        "the {name} weight must be finite and non-negative, not {w}"
+                    ));
+                }
+                *slot = w;
+            }
+        }
+        o.mem_budget = mem_budget;
+        if penalize {
+            if mem_budget.is_none() {
+                return Err("penalizing over-budget candidates needs a memory budget".to_string());
+            }
+            o.budget_mode = BudgetMode::Penalize;
+        }
+        Ok(o)
+    }
+
     /// Whether this objective ranks by raw simulated time alone: no
     /// memory or traffic weight and no budget. [`Objective::score`] is
     /// the identity on time for such objectives, which is what keeps the
@@ -400,5 +439,79 @@ mod tests {
         let d = capped.describe();
         assert!(d.contains("mem*1"), "{d}");
         assert!(d.contains("budget 2048 B (prune)"), "{d}");
+    }
+
+    #[test]
+    fn requests_build_the_preset_then_the_overrides_then_the_budget() {
+        let cases = [
+            (None, None, None, None, false, Objective::time_only()),
+            (
+                Some("time"),
+                None,
+                None,
+                None,
+                false,
+                Objective::time_only(),
+            ),
+            (Some("memory"), None, None, None, false, Objective::memory()),
+            (
+                Some("balanced"),
+                None,
+                None,
+                None,
+                false,
+                Objective::balanced(),
+            ),
+            (
+                Some("memory"),
+                Some(2.5),
+                Some(0.0),
+                None,
+                false,
+                Objective {
+                    mem_weight: 2.5,
+                    rw_weight: 0.0,
+                    ..Objective::memory()
+                },
+            ),
+            (
+                None,
+                None,
+                Some(0.5),
+                None,
+                false,
+                Objective {
+                    rw_weight: 0.5,
+                    ..Objective::time_only()
+                },
+            ),
+            (
+                Some("balanced"),
+                None,
+                None,
+                Some(4096),
+                false,
+                Objective {
+                    mem_budget: Some(4096),
+                    ..Objective::balanced()
+                },
+            ),
+            (
+                None,
+                None,
+                None,
+                Some(4096),
+                true,
+                Objective {
+                    mem_budget: Some(4096),
+                    budget_mode: BudgetMode::Penalize,
+                    ..Objective::time_only()
+                },
+            ),
+        ];
+        for (preset, mem, rw, budget, penalize, want) in cases {
+            let got = Objective::from_request(preset, mem, rw, budget, penalize).unwrap();
+            assert!(got.same_as(&want), "{preset:?} {mem:?} {rw:?}: {got:?}");
+        }
     }
 }

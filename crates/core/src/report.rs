@@ -47,9 +47,9 @@ pub fn fmt_secs(v: f64) -> String {
 }
 
 /// The timing columns of a tuned result: architecture, device time,
-/// device GFlop/s and GFlop/s with transfers. `tune`, `replay` and the
-/// daemon each append their own tail, so a replayed plan prints the same
-/// columns as the search that produced it.
+/// device GFlop/s and GFlop/s with transfers. [`fmt_tune`] and `replay`
+/// each append their own tail, so a replayed plan prints the same columns
+/// as the search that produced it.
 pub fn fmt_timing(tuned: &TunedWorkload) -> String {
     format!(
         "{:12} {:>10} us device  {:>8} GF device  {:>8} GF w/transfers",
@@ -57,6 +57,19 @@ pub fn fmt_timing(tuned: &TunedWorkload) -> String {
         fmt_f(tuned.gpu_seconds * 1e6),
         fmt_f(tuned.gflops_device()),
         fmt_f(tuned.gflops()),
+    )
+}
+
+/// A tune's result line: the timing columns, then the evaluations the
+/// search spent and the size of its space. The CLI's `tune` prints it and
+/// the daemon answers with it, so a store hit replays the line its search
+/// printed.
+pub fn fmt_tune(tuned: &TunedWorkload) -> String {
+    format!(
+        "{}  ({} evals, space {})",
+        fmt_timing(tuned),
+        tuned.search.n_evals,
+        tuned.search.space_size,
     )
 }
 

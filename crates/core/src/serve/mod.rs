@@ -58,7 +58,7 @@ use crate::error::BarracudaError;
 use crate::json::Json;
 use crate::kernels;
 use crate::pipeline::{TuneParams, TunedWorkload, WorkloadTuner};
-use crate::report::fmt_timing;
+use crate::report::fmt_tune;
 use crate::session::{PlanSource, TuningSession};
 use crate::store::{PlanStore, StoreFaultPlan, StoreOptions};
 use crate::workload::Workload;
@@ -207,33 +207,12 @@ impl Daemon {
     /// the architecture descriptors, and validating that the default
     /// backend exists in the loaded set and is searchable.
     pub fn new(options: ServeOptions) -> Result<Daemon, BarracudaError> {
-        let mut set = BackendSet::builtin();
-        for file in &options.arch_files {
-            set.load_arch_file(file)?;
-        }
-        if let Some(dir) = &options.arch_dir {
-            set.load_arch_dir(dir)?;
-        }
-        match set.get(&options.backend) {
-            None => {
-                return Err(BarracudaError::Serve {
-                    detail: format!(
-                        "default backend \"{}\" is not in the loaded backend set (one of: {})",
-                        options.backend,
-                        set.keys().join(", ")
-                    ),
-                })
-            }
-            Some(b) if !b.caps().searchable => {
-                return Err(BarracudaError::Serve {
-                    detail: format!(
-                        "default backend \"{}\" is not searchable — serve needs a GPU backend",
-                        options.backend
-                    ),
-                })
-            }
-            Some(_) => {}
-        }
+        let (set, _) =
+            BackendSet::with_descriptors(&options.arch_files, options.arch_dir.as_deref())?;
+        set.searchable(&options.backend)
+            .map_err(|reason| BarracudaError::Serve {
+                detail: format!("default backend: {reason}"),
+            })?;
         let session = match &options.store {
             Some(root) => {
                 let store = PlanStore::open_with(
@@ -555,22 +534,15 @@ impl Daemon {
         self.search_ewma_ms.store(next, Ordering::Relaxed);
     }
 
-    /// Request parameters: profile default, then request overrides.
+    /// Request parameters: each field the request sets, else the daemon's
+    /// default, over the chosen profile.
     fn params_for(&self, req: &TuneRequest) -> TuneParams {
-        let quick = req.quick.unwrap_or(self.options.quick);
-        let mut p = if quick {
-            TuneParams::quick()
-        } else {
-            TuneParams::paper()
-        };
-        if let Some(evals) = req.evals.or(self.options.evals) {
-            p.surf.max_evals = evals;
-        }
-        p.wall_deadline_s = req.deadline_s.or(self.options.deadline_s);
-        if let Some(objective) = req.objective {
-            p.objective = objective;
-        }
-        p
+        TuneParams::profile(
+            req.quick.unwrap_or(self.options.quick),
+            req.evals.or(self.options.evals),
+            req.deadline_s.or(self.options.deadline_s),
+            req.objective.unwrap_or_default(),
+        )
     }
 
     /// The coalescing key: workload fingerprint + backend + a digest of
@@ -654,16 +626,10 @@ fn resolve_workload(spec: &str) -> Result<Workload, BarracudaError> {
     })
 }
 
-/// Project a tuned result onto the wire struct. The timing line uses the
-/// exact CLI `tune` format, so a store-hit replay prints byte-identical
-/// to the search that produced the plan.
+/// Project a tuned result onto the wire struct. The timing line is the
+/// CLI `tune` line ([`fmt_tune`]), so a store-hit replay prints
+/// byte-identical to the search that produced the plan.
 fn served_from(tuned: &TunedWorkload, backend: &str, source: ServedSource) -> ServedTune {
-    let timing = format!(
-        "{}  ({} evals, space {})",
-        fmt_timing(tuned),
-        tuned.search.n_evals,
-        tuned.search.space_size,
-    );
     ServedTune {
         workload: tuned.name.clone(),
         backend: backend.to_string(),
@@ -685,7 +651,7 @@ fn served_from(tuned: &TunedWorkload, backend: &str, source: ServedSource) -> Se
         },
         objective: tuned.objective.describe(),
         peak_temp_bytes: tuned.search.peak_temp_bytes,
-        timing,
+        timing: fmt_tune(tuned),
     }
 }
 

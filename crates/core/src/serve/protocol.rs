@@ -21,8 +21,12 @@
 //! `"rw_weight"` override individual weights, `"mem_budget"` sets a hard
 //! cap on modeled peak temporary bytes and `"penalize"` selects
 //! [`BudgetMode::Penalize`](crate::objective::BudgetMode) instead of
-//! pruning. Requests with different objectives never coalesce and never
-//! share stored plans.
+//! pruning. The daemon accepts and refuses the same objective inputs as
+//! the CLI's `--objective`, `--mem-weight`, `--rw-weight`, `--mem-budget`
+//! and `--mem-penalize` ([`Objective::from_request`] builds both): an
+//! unknown preset, a negative weight, or `"penalize":true` without a
+//! `"mem_budget"` is a typed serve error (exit 12). Requests with
+//! different objectives never coalesce and never share stored plans.
 //!
 //! Every response carries `"ok"` and echoes `"op"` (and `"id"` when the
 //! request had one). Failures return `"ok":false` with the typed stage
@@ -31,7 +35,7 @@
 
 use crate::error::BarracudaError;
 use crate::json::Json;
-use crate::objective::{BudgetMode, Objective};
+use crate::objective::Objective;
 
 /// One parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -117,11 +121,13 @@ impl Request {
     }
 }
 
-/// Assemble a tune request's objective from its optional fields:
-/// preset (`objective`), weight overrides (`mem_weight` / `rw_weight`),
-/// budget (`mem_budget` bytes) and mode (`penalize`). `Ok(None)` when no
-/// objective field is present; an unknown preset or a malformed field is
-/// a typed [`BarracudaError::Serve`].
+/// A tune request's objective from its optional fields: preset
+/// (`objective`), weight overrides (`mem_weight` / `rw_weight`), budget
+/// (`mem_budget` bytes) and mode (`penalize`). `Ok(None)` when no
+/// objective field is present. Only the JSON types are checked here;
+/// [`Objective::from_request`] accepts and refuses the values exactly as
+/// it does for the CLI's flags. Either failure is a typed
+/// [`BarracudaError::Serve`].
 fn parse_objective(v: &Json) -> Result<Option<Objective>, BarracudaError> {
     let has_any = [
         "objective",
@@ -135,58 +141,32 @@ fn parse_objective(v: &Json) -> Result<Option<Objective>, BarracudaError> {
     if !has_any {
         return Ok(None);
     }
-    let mut o = match v.get("objective") {
-        None => Objective::time_only(),
-        Some(p) => {
-            let name = p.as_str().ok_or_else(|| BarracudaError::Serve {
-                detail: "field \"objective\" must be a string preset name".to_string(),
-            })?;
-            Objective::preset(name).ok_or_else(|| BarracudaError::Serve {
-                detail: format!(
-                    "unknown objective preset \"{name}\" (one of: time, memory, balanced)"
-                ),
-            })?
-        }
-    };
-    let weight = |key: &str| -> Result<Option<f64>, BarracudaError> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(w) => {
-                let w = w.as_f64().ok_or_else(|| BarracudaError::Serve {
-                    detail: format!("field \"{key}\" must be a number"),
-                })?;
-                if !w.is_finite() || w < 0.0 {
-                    return Err(BarracudaError::Serve {
-                        detail: format!("field \"{key}\" must be a finite non-negative number"),
-                    });
-                }
-                Ok(Some(w))
-            }
-        }
-    };
-    if let Some(w) = weight("mem_weight")? {
-        o.mem_weight = w;
-    }
-    if let Some(w) = weight("rw_weight")? {
-        o.rw_weight = w;
-    }
-    if let Some(b) = v.get("mem_budget") {
-        o.mem_budget = Some(b.as_u64().ok_or_else(|| BarracudaError::Serve {
-            detail: "field \"mem_budget\" must be an integer byte count".to_string(),
-        })?);
-    }
-    if v.get("penalize").is_some() {
-        let p = v
-            .get("penalize")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| BarracudaError::Serve {
-                detail: "field \"penalize\" must be a boolean".to_string(),
-            })?;
-        if p {
-            o.budget_mode = BudgetMode::Penalize;
-        }
-    }
-    Ok(Some(o))
+    Objective::from_request(
+        field(v, "objective", "a string preset name", Json::as_str)?,
+        field(v, "mem_weight", "a number", Json::as_f64)?,
+        field(v, "rw_weight", "a number", Json::as_f64)?,
+        field(v, "mem_budget", "an integer byte count", Json::as_u64)?,
+        field(v, "penalize", "a boolean", Json::as_bool)?.unwrap_or(false),
+    )
+    .map(Some)
+    .map_err(|detail| BarracudaError::Serve { detail })
+}
+
+/// Field `key` of `v` read by `read`: `None` when absent, a typed
+/// [`BarracudaError::Serve`] naming the `want`ed type when `read` refuses it.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    want: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, BarracudaError> {
+    v.get(key)
+        .map(|x| {
+            read(x).ok_or_else(|| BarracudaError::Serve {
+                detail: format!("field \"{key}\" must be {want}"),
+            })
+        })
+        .transpose()
 }
 
 /// Where a served tune came from, as reported on the wire.
@@ -331,6 +311,7 @@ pub fn error_response(op: &str, id: Option<&str>, err: &BarracudaError) -> Json 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::BudgetMode;
 
     #[test]
     fn parses_every_op() {
@@ -403,6 +384,7 @@ mod tests {
             r#"{"op":"tune","workload":"tce","mem_weight":-1}"#,
             r#"{"op":"tune","workload":"tce","mem_budget":"lots"}"#,
             r#"{"op":"tune","workload":"tce","penalize":"yes"}"#,
+            r#"{"op":"tune","workload":"tce","penalize":true}"#,
         ] {
             let err = Request::parse(line).unwrap_err();
             assert_eq!(err.stage(), "serve", "line {line:?}");

@@ -24,14 +24,13 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::backend::{Backend, BackendSet};
 use crate::cache::EvalCache;
-use crate::cpu::{try_cpu_programs, workload_cpu_time};
+use crate::cpu::try_cpu_programs;
 use crate::error::BarracudaError;
 use crate::pipeline::{TuneParams, TunedWorkload, WorkloadTuner};
 use crate::plan::{TunedPlan, PLAN_SCHEMA_VERSION};
 use crate::stages::frontend::workload_fingerprint;
 use crate::store::{PlanStore, StoreKey};
 use crate::workload::Workload;
-use cpusim::model::CpuModel;
 
 /// Where a tuning result came from.
 #[derive(Clone, Debug, PartialEq)]
@@ -78,6 +77,38 @@ pub struct BackendTuning {
     pub gflops: f64,
     /// The full search result, for backends that ran one (GPU targets).
     pub tuned: Option<TunedWorkload>,
+}
+
+impl BackendTuning {
+    /// The row of a derived backend, a CPU baseline or an OpenACC analog,
+    /// which runs no search of its own: its time on configuration
+    /// `reference`, and its GFlop/s at the flop count of the best-flop
+    /// lowering, which every derived backend executes. `flops` keeps that
+    /// count once a row has computed it, so a sweep lowers for it once.
+    pub fn derived(
+        backend: &dyn Backend,
+        tuner: &WorkloadTuner,
+        reference: u128,
+        flops: &mut Option<u64>,
+    ) -> Result<BackendTuning, BarracudaError> {
+        let total_seconds = backend.time_config(tuner, reference)?;
+        let flops = match *flops {
+            Some(f) => f,
+            None => *flops.insert(
+                try_cpu_programs(&tuner.workload)?
+                    .iter()
+                    .map(|p| p.flops())
+                    .sum(),
+            ),
+        };
+        Ok(BackendTuning {
+            key: backend.key().to_string(),
+            name: backend.name(),
+            total_seconds,
+            gflops: flops as f64 / total_seconds / 1e9,
+            tuned: None,
+        })
+    }
 }
 
 /// A whole-set sweep through a session: one row per backend, plus
@@ -332,50 +363,29 @@ impl TuningSession {
         let mut rows = Vec::new();
         let mut notes = Vec::new();
         let mut reference = 0u128;
-        // Derived-backend flop counts depend only on the workload: lower
-        // once per sweep, lazily, instead of once per backend.
-        let mut acc_flops: Option<u64> = None;
-        let mut cpu_flops: Option<u64> = None;
+        let mut flops = None;
         for backend in self.backends.iter() {
-            let key = backend.key().to_string();
-            if backend.caps().searchable {
-                let out = self.tune(tuner, &key, params)?;
-                if key == "k20" {
-                    reference = out.tuned.id;
-                }
-                notes.push((key.clone(), out.source));
-                rows.push(BackendTuning {
-                    key,
-                    name: backend.name(),
-                    total_seconds: out.tuned.total_seconds(),
-                    gflops: out.tuned.gflops(),
-                    tuned: Some(out.tuned),
-                });
+            if !backend.caps().searchable {
+                rows.push(BackendTuning::derived(
+                    backend.as_ref(),
+                    tuner,
+                    reference,
+                    &mut flops,
+                )?);
                 continue;
             }
-            let total_seconds = backend.time_config(tuner, reference)?;
-            let flops = if backend.caps().accelerator {
-                // OpenACC analogs execute the best-flop lowering.
-                match acc_flops {
-                    Some(f) => f,
-                    None => *acc_flops.insert(
-                        try_cpu_programs(&tuner.workload)?
-                            .iter()
-                            .map(|p| p.flops())
-                            .sum(),
-                    ),
-                }
-            } else {
-                *cpu_flops.get_or_insert_with(|| {
-                    workload_cpu_time(&tuner.workload, &CpuModel::haswell(), 1).flops
-                })
-            };
+            let key = backend.key().to_string();
+            let out = self.tune(tuner, &key, params)?;
+            if key == "k20" {
+                reference = out.tuned.id;
+            }
+            notes.push((key.clone(), out.source));
             rows.push(BackendTuning {
                 key,
                 name: backend.name(),
-                total_seconds,
-                gflops: flops as f64 / total_seconds / 1e9,
-                tuned: None,
+                total_seconds: out.tuned.total_seconds(),
+                gflops: out.tuned.gflops(),
+                tuned: Some(out.tuned),
             });
         }
         Ok(SweepOutcome { rows, notes })

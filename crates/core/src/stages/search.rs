@@ -149,6 +149,28 @@ impl TuneParams {
         }
     }
 
+    /// A tuning request's parameters: the quick or the paper profile, its
+    /// evaluation budget replaced only when `evals` gives one, then the
+    /// request's deadline and objective.
+    pub fn profile(
+        quick: bool,
+        evals: Option<usize>,
+        wall_deadline_s: Option<f64>,
+        objective: Objective,
+    ) -> Self {
+        let mut p = if quick {
+            TuneParams::quick()
+        } else {
+            TuneParams::paper()
+        };
+        if let Some(n) = evals {
+            p.surf.max_evals = n;
+        }
+        p.wall_deadline_s = wall_deadline_s;
+        p.objective = objective;
+        p
+    }
+
     /// The SURF parameters actually handed to the search: the tuner-level
     /// budget/deadline/threshold knobs folded into `surf`.
     fn effective_surf(&self) -> SurfParams {

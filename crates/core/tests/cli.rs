@@ -84,6 +84,61 @@ fn unknown_arch_exits_2_usage() {
 }
 
 #[test]
+fn quick_without_evals_searches_the_quick_budget() {
+    let out = bin()
+        .args(["tune", "builtin:eqn1", "--quick", "--arch", "k20"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("(40 evals, "), "stdout: {text}");
+}
+
+/// Malformed objectives, as CLI flags and, where JSON can say it, as the
+/// fields of a daemon tune request (JSON has no NaN).
+const MALFORMED_OBJECTIVES: [(&[&str], Option<&str>); 4] = [
+    (
+        &["--objective", "fastest"],
+        Some(r#""objective":"fastest""#),
+    ),
+    (&["--mem-weight", "-1"], Some(r#""mem_weight":-1"#)),
+    (&["--rw-weight", "NaN"], None),
+    (&["--mem-penalize"], Some(r#""penalize":true"#)),
+];
+
+#[test]
+fn malformed_objectives_are_refused_by_the_cli_and_the_daemon_alike() {
+    use barracuda::json::Json;
+    let daemon = barracuda::Daemon::new(barracuda::ServeOptions::default()).unwrap();
+    for (flags, fields) in MALFORMED_OBJECTIVES {
+        // Options are parsed before the workload is lowered, so each
+        // refusal comes before any search.
+        let out = bin()
+            .args(["tune", "builtin:eqn1"])
+            .args(flags)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {err}");
+        assert!(err.contains("error:"), "{flags:?}: {err}");
+        let Some(fields) = fields else { continue };
+        let line = format!(r#"{{"op":"tune","workload":"builtin:eqn1",{fields}}}"#);
+        let response = Json::parse(&daemon.handle_line(&line).response).unwrap();
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            response.get("stage").and_then(Json::as_str),
+            Some("serve"),
+            "{line}"
+        );
+        assert_eq!(response.get("exit_code").and_then(Json::as_u64), Some(12));
+    }
+}
+
+#[test]
 fn unknown_option_exits_2_usage() {
     let out = bin()
         .args(["tune", "builtin:eqn1", "--frobnicate"])
