@@ -21,6 +21,13 @@
 //!    saturation/goodput story lands in the `open_loop` section of the
 //!    report.
 //!
+//! The report's `steady_state_rps` is phase 2's request count
+//! (`CLIENTS` × `REQUESTS_PER_CLIENT`, 3,200) divided by phase 2's wall
+//! time. The phase ends only after its first cold searches of tce and
+//! lg3 return, so the figure tracks cold-search time, not warm
+//! throughput; the frozen benchmark's serve-warm `rps` is the warm
+//! throughput trajectory.
+//!
 //! Requests are classified by the response's own `source` field; Busy
 //! rejections are retried with jittered back-off seeded by the
 //! response's `retry_after_ms` hint (phases 1–2) or counted as shed
