@@ -58,12 +58,14 @@ pub fn binarized_feature_names(statements: &[StatementTuner]) -> Vec<String> {
     out
 }
 
-/// Binarized features of a joint id: concatenation across statements.
+/// Binarized features of a joint id: concatenation across statements,
+/// written into one vector.
 pub fn joint_features(statements: &[StatementTuner], id: u128) -> Vec<f64> {
     let locals = decode_joint(statements, id);
-    let mut out = Vec::new();
+    let width = statements.iter().map(|s| s.feature_space().width()).sum();
+    let mut out = Vec::with_capacity(width);
     for (s, &local) in statements.iter().zip(&locals) {
-        out.extend(s.features(local));
+        s.features_into(local, &mut out);
     }
     out
 }

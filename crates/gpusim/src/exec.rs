@@ -177,7 +177,7 @@ mod tests {
         let a = Tensor::random(Shape::new([n, n]), 41);
         let b = Tensor::random(Shape::new([n, n]), 42);
         let expect = p.evaluate(&[&a, &b]);
-        for (ci, _) in space.per_op[0].configs.iter().enumerate() {
+        for ci in 0..space.per_op[0].len() {
             let cfg = tcr::space::Configuration { choice: vec![ci] };
             let kernels = map_program(&p, &space, &cfg, false).unwrap();
             let got = execute_program(&p, &kernels, &[&a, &b]);
