@@ -322,7 +322,7 @@ impl Daemon {
         let response: Json = match Request::parse(line) {
             Err(e) => {
                 self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                protocol::error_response("error", None, &e)
+                protocol::refusal_response(line, &e)
             }
             Ok(Request::Ping) => protocol::ack_response("ping"),
             Ok(Request::Stats) => self.snapshot().to_json(),

@@ -279,6 +279,17 @@ pub fn ack_response(op: &str) -> Json {
     ])
 }
 
+/// Failure response to a line [`Request::parse`] refused. It echoes the
+/// line's own string `"op"` and `"id"` when the line is a JSON object, so
+/// a pipelining client can match the refusal like any other response; a
+/// line that is not JSON (or names no `"op"`) answers as `"op":"error"`.
+/// The line is parsed a second time here, on the error path only.
+pub fn refusal_response(line: &str, err: &BarracudaError) -> Json {
+    let request = Json::parse(line).ok();
+    let field = |key| request.as_ref()?.get(key)?.as_str();
+    error_response(field("op").unwrap_or("error"), field("id"), err)
+}
+
 /// Failure response: typed stage + the exit code the CLI maps it to. A
 /// [`BarracudaError::Busy`] rejection (the protocol's 429) additionally
 /// carries `retry_after_ms`, the daemon's back-off hint, so clients can

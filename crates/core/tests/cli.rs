@@ -126,7 +126,7 @@ fn malformed_objectives_are_refused_by_the_cli_and_the_daemon_alike() {
         assert_eq!(out.status.code(), Some(2), "{flags:?}: {err}");
         assert!(err.contains("error:"), "{flags:?}: {err}");
         let Some(fields) = fields else { continue };
-        let line = format!(r#"{{"op":"tune","workload":"builtin:eqn1",{fields}}}"#);
+        let line = format!(r#"{{"op":"tune","id":"bad","workload":"builtin:eqn1",{fields}}}"#);
         let response = Json::parse(&daemon.handle_line(&line).response).unwrap();
         assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
@@ -135,6 +135,21 @@ fn malformed_objectives_are_refused_by_the_cli_and_the_daemon_alike() {
             "{line}"
         );
         assert_eq!(response.get("exit_code").and_then(Json::as_u64), Some(12));
+        // The refusal echoes the request's op and id like any response.
+        assert_eq!(response.get("op").and_then(Json::as_str), Some("tune"));
+        assert_eq!(response.get("id").and_then(Json::as_str), Some("bad"));
+    }
+    // An unknown op is echoed too; a line that is not JSON has neither an
+    // op nor an id to echo.
+    for (line, op, id) in [
+        (r#"{"op":"frob","id":"y"}"#, "frob", Some("y")),
+        ("not json", "error", None),
+    ] {
+        let response = Json::parse(&daemon.handle_line(line).response).unwrap();
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(response.get("exit_code").and_then(Json::as_u64), Some(12));
+        assert_eq!(response.get("op").and_then(Json::as_str), Some(op));
+        assert_eq!(response.get("id").and_then(Json::as_str), id);
     }
 }
 
