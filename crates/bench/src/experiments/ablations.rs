@@ -82,7 +82,7 @@ fn remap(
         ..mapped
     };
     // Derived from a kernel that already mapped, so this config is valid.
-    map_kernel(program, k.op_index, &cfg, k.accumulate)
+    map_kernel(program, k.op_index, cfg, k.accumulate)
         .unwrap_or_else(|e| panic!("ablation remap failed: {e}"))
 }
 

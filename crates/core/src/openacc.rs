@@ -115,7 +115,7 @@ pub fn try_openacc_naive(workload: &Workload) -> Result<AccMapping, BarracudaErr
                         detail,
                     };
                     let cfg = naive_config(p, i).map_err(mapping)?;
-                    let mut k = map_kernel(p, i, &cfg, st.accumulate)
+                    let mut k = map_kernel(p, i, cfg, st.accumulate)
                         .map_err(|detail| mapping(detail.to_string()))?;
                     k.scalar_replacement = false;
                     k.name = format!("{}_acc_naive", k.name);
@@ -183,7 +183,7 @@ pub fn try_openacc_optimized_parts(
                     // Derived from a kernel that already mapped, so this
                     // config covers the same loops.
                     let mut nk =
-                        map_kernel(program, k.op_index, &cfg, st.accumulate).map_err(|detail| {
+                        map_kernel(program, k.op_index, cfg, st.accumulate).map_err(|detail| {
                             BarracudaError::Mapping {
                                 workload: workload.name.clone(),
                                 statement: sidx,

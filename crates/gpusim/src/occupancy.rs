@@ -111,7 +111,7 @@ mod tests {
             unroll,
             staged: vec![],
         };
-        map_kernel(&p, 0, &cfg, false).unwrap()
+        map_kernel(&p, 0, cfg, false).unwrap()
     }
 
     #[test]

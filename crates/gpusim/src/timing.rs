@@ -346,7 +346,7 @@ mod tests {
             unroll,
             staged: vec![],
         };
-        map_kernel(p, 0, &cfg, false).unwrap()
+        map_kernel(p, 0, cfg, false).unwrap()
     }
 
     #[test]
@@ -469,8 +469,8 @@ mod tests {
         let mut staged = base.clone();
         staged.staged = vec![0];
         let arch = gtx980();
-        let t0 = time_kernel(&map_kernel(&p, 0, &base, false).unwrap(), &arch);
-        let t1 = time_kernel(&map_kernel(&p, 0, &staged, false).unwrap(), &arch);
+        let t0 = time_kernel(&map_kernel(&p, 0, base, false).unwrap(), &arch);
+        let t1 = time_kernel(&map_kernel(&p, 0, staged, false).unwrap(), &arch);
         // The win is latency: shared-memory reads replace L2 round trips in
         // the per-point critical path. (Traffic for a broadcast-friendly
         // reference is already cheap, so L2 bytes barely move.)
@@ -497,9 +497,9 @@ mod tests {
             staged: vec![],
         };
         let arch = c2050();
-        let k0 = map_kernel(&p, 0, &cfg, false).unwrap();
+        let k0 = map_kernel(&p, 0, cfg.clone(), false).unwrap();
         cfg.staged = vec![0, 1];
-        let k1 = map_kernel(&p, 0, &cfg, false).unwrap();
+        let k1 = map_kernel(&p, 0, cfg, false).unwrap();
         assert!(k1.smem_bytes_per_block() > 0);
         let o0 = occupancy(&k0, &arch);
         let o1 = occupancy(&k1, &arch);

@@ -199,7 +199,7 @@ proptest! {
             return Ok(());
         };
         for k in kernels {
-            let again = tcr::map_kernel(&p, k.op_index, &k.config(), k.accumulate);
+            let again = tcr::map_kernel(&p, k.op_index, k.config(), k.accumulate);
             prop_assert_eq!(again, Ok(k));
         }
     }
