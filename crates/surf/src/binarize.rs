@@ -83,22 +83,26 @@ impl FeatureSpace {
     /// hot paths can pack many configurations into one flat allocation.
     pub fn binarize_into(&self, raw: &[f64], out: &mut Vec<f64>) {
         assert_eq!(raw.len(), self.features.len(), "raw vector length");
-        out.reserve(self.width());
+        // Zero the whole row once, then set one column per feature.
+        let mut at = out.len();
+        out.resize(at + self.width(), 0.0);
         for (f, &v) in self.features.iter().zip(raw) {
             match f {
                 Feature::Categorical { cardinality, name } => {
+                    // `v as usize` saturates, so the round trip also rejects
+                    // negative, fractional and NaN values.
                     let idx = v as usize;
                     assert!(
-                        (v.fract() == 0.0) && idx < *cardinality,
+                        idx as f64 == v && idx < *cardinality,
                         "category {v} out of range for {name}"
                     );
-                    for c in 0..*cardinality {
-                        out.push(if c == idx { 1.0 } else { 0.0 });
-                    }
+                    out[at + idx] = 1.0;
+                    at += cardinality;
                 }
                 Feature::Integer { min, max, .. } => {
                     let span = (max - min).max(1e-12);
-                    out.push((v - min) / span);
+                    out[at] = (v - min) / span;
+                    at += 1;
                 }
             }
         }
@@ -287,6 +291,13 @@ mod tests {
     fn category_bounds_checked() {
         let fs = FeatureSpace::default().categorical("tx", 3);
         let _ = fs.binarize(&[3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "category -1 out of range")]
+    fn negative_category_rejected() {
+        let fs = FeatureSpace::default().categorical("tx", 3);
+        let _ = fs.binarize(&[-1.0]);
     }
 
     /// The rows of a `Left::Rows` bitset, checking that no padding bit past
