@@ -3,7 +3,7 @@
 fn main() {
     let params = bench::experiment_params();
     println!("# Barracuda reproduction report\n");
-    let r = bench::versions::run(200);
+    let r = bench::versions::run(bench::versions::SWEEP);
     println!("{}\n", bench::versions::render(&r));
     let rows = bench::table2::run(params);
     println!("{}\n", bench::table2::render(&rows));

@@ -2,8 +2,8 @@
 //! the Table II workloads, with memo-cache statistics.
 //!
 //! This measures the evaluation engine itself, not the simulated kernels:
-//! wall-clock per search, evaluations per second, threads used, cache hit
-//! rate, and a bit-identity check between the serial and parallel runs.
+//! wall-clock per search, evaluations per second, threads used, memo hit
+//! rates, and a bit-identity check between the serial and parallel runs.
 //! [`write_json`] emits the rows as `BENCH_search.json` for machine
 //! consumption (the `report` binary calls it).
 
@@ -25,9 +25,6 @@ pub struct SearchBenchRow {
     /// 1 — the backend still goes through the parallel code path.
     pub threads: usize,
     pub evals_per_sec: f64,
-    pub cache_hits: usize,
-    pub cache_misses: usize,
-    pub cache_hit_rate: f64,
     /// Per-op memo layer traffic: lookups keyed by `(statement, version,
     /// op, choice)` under the whole-configuration cache.
     pub per_op_hits: usize,
@@ -71,9 +68,6 @@ pub fn run(params: TuneParams) -> Vec<SearchBenchRow> {
                 // lazily initialized; ask rayon for the real pool size.
                 threads: parallel.search.threads.max(rayon::current_num_threads()),
                 evals_per_sec: parallel.search.n_evals as f64 / parallel.search.wall_s.max(1e-12),
-                cache_hits: parallel.search.cache_hits,
-                cache_misses: parallel.search.cache_misses,
-                cache_hit_rate: parallel.search.cache_hit_rate(),
                 per_op_hits: parallel.search.per_op_hits,
                 per_op_misses: parallel.search.per_op_misses,
                 per_op_hit_rate: parallel.search.per_op_hit_rate(),
@@ -99,7 +93,6 @@ pub fn render(rows: &[SearchBenchRow]) -> Table {
             "speedup",
             "threads",
             "evals/s",
-            "hit rate",
             "per-op rate",
             "identical",
         ],
@@ -113,7 +106,6 @@ pub fn render(rows: &[SearchBenchRow]) -> Table {
             fmt_f(r.speedup),
             r.threads.to_string(),
             fmt_f(r.evals_per_sec),
-            fmt_f(r.cache_hit_rate),
             fmt_f(r.per_op_hit_rate),
             r.identical.to_string(),
         ]);
@@ -162,8 +154,7 @@ pub fn to_json(rows: &[SearchBenchRow]) -> String {
         s.push_str(&format!(
             "    {{\"workload\": \"{}\", \"space_size\": {}, \"n_evals\": {}, \
              \"serial_wall_s\": {:.6}, \"parallel_wall_s\": {:.6}, \"speedup\": {:.3}, \
-             \"threads\": {}, \"evals_per_sec\": {:.1}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"per_op_hits\": {}, \
+             \"threads\": {}, \"evals_per_sec\": {:.1}, \"per_op_hits\": {}, \
              \"per_op_misses\": {}, \"per_op_hit_rate\": {:.4}, \"time_hit_rate\": {:.4}, \
              \"decode_ns\": {}, \"map_ns\": {}, \"sim_ns\": {}, \"predict_ns\": {}, \
              \"identical\": {}}}{}\n",
@@ -175,9 +166,6 @@ pub fn to_json(rows: &[SearchBenchRow]) -> String {
             r.speedup,
             r.threads,
             r.evals_per_sec,
-            r.cache_hits,
-            r.cache_misses,
-            r.cache_hit_rate,
             r.per_op_hits,
             r.per_op_misses,
             r.per_op_hit_rate,
@@ -255,10 +243,10 @@ mod tests {
         params.pool_cap = 5000;
         let tuned = tuner.autotune(&gpusim::k20(), params).unwrap();
         assert!(
-            tuned.search.per_op_hit_rate() > tuned.search.cache_hit_rate(),
+            tuned.search.per_op_hit_rate() > tuned.search.time_hit_rate(),
             "tce: per-op rate {} must beat whole-config rate {}",
             tuned.search.per_op_hit_rate(),
-            tuned.search.cache_hit_rate()
+            tuned.search.time_hit_rate()
         );
     }
 

@@ -4,34 +4,44 @@
 
 use barracuda::report::{fmt_f, Table};
 use barracuda::variant::StatementTuner;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tcr::mapping::map_program;
+
+/// Configurations `bin/versions` and `bin/report` sample per version.
+pub const SWEEP: usize = 200;
 
 #[derive(Clone, Debug)]
 pub struct VersionsResult {
     pub n_versions: usize,
     pub n_minimal_flop: usize,
-    /// Best time per minimal-flop version, seconds (its best config found
-    /// by a deterministic sweep).
+    /// Best time per minimal-flop version, seconds (its best config among
+    /// a fixed-seed sample of its space).
     pub minimal_times: Vec<f64>,
     /// Relative spread among the minimal-flop versions.
     pub spread: f64,
 }
 
+/// Best time of each equal-flop Eqn. (1) version over `sweep` uniform
+/// draws from its own space. The draws come from one fixed-seed generator:
+/// a strided sweep (`total * k / sweep`) hits the same digits of every
+/// version's mixed-radix space at some sweeps, 100 and 200 among them,
+/// and misses the fast configurations of all six alike.
 pub fn run(sweep: usize) -> VersionsResult {
     let w = barracuda::kernels::eqn1(barracuda::kernels::EQN1_N);
     let tuner = StatementTuner::build("ex", &w.statements[0], &w.dims);
     let arch = gpusim::gtx980();
     let min_flops = tuner.variants[0].factorization.flops;
+    let mut rng = StdRng::seed_from_u64(0x5EED);
     let mut minimal_times = Vec::new();
     for v in &tuner.variants {
         if v.factorization.flops != min_flops {
             continue;
         }
-        // Deterministic strided sweep of the version's own space.
         let total = v.space.len();
         let mut best = f64::INFINITY;
-        for k in 0..sweep as u128 {
-            let cfg = v.space.config(total * k / sweep as u128);
+        for _ in 0..sweep {
+            let cfg = v.space.config(rng.gen_range(0..total));
             let Ok(kernels) = map_program(&v.program, &v.space, &cfg, false) else {
                 continue; // unmappable sample point: skip, don't abort the sweep
             };
@@ -72,10 +82,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_paper_counts() {
-        let r = run(24);
+    fn matches_paper_counts_at_the_binaries_sweep() {
+        let r = run(SWEEP);
+        println!("{}", render(&r));
         assert_eq!(r.n_versions, 15);
         assert_eq!(r.n_minimal_flop, 6);
-        assert!(r.spread >= 0.0 && r.spread < 0.5, "spread = {}", r.spread);
+        // What `bin/versions` prints: a real spread, under the paper's "as
+        // much as 9 %".
+        assert_eq!(format!("{}%", fmt_f(r.spread * 100.0)), "0.877%");
+        assert!(r.spread > 0.0 && r.spread < 0.09, "spread = {}", r.spread);
     }
 }

@@ -110,7 +110,7 @@
 //! 11 store, 12 serve, 13 busy, 14 descriptor); 9 means the run
 //! completed but degraded under `--strict`.
 //! A bad plan *artifact* — unsupported schema version (any plan file
-//! not written in the current v3 layout), tampered workload fingerprint,
+//! not written in the current v4 layout), tampered workload fingerprint,
 //! foreign backend cache salt — is the exit-10 case; a bad
 //! plan *store* — unreadable directory, an injected I/O fault — is the
 //! exit-11 case (a corrupt *entry* is quarantined to a `*.corrupt`

@@ -1,12 +1,13 @@
 //! Shared memoization for autotuning evaluations.
 //!
-//! The autotuning loop asks the same questions many times: SURF re-queries
-//! every configuration's features on each model refit, the final noiseless
-//! pick re-reads the simulated time of everything the search evaluated, and
-//! decomposed tuning shares sub-searches across statements. [`EvalCache`]
-//! memoizes both simulated times and feature vectors behind sharded
-//! `RwLock` maps so concurrent evaluator threads stay off each other's
-//! locks, and counts hits/misses for the search statistics.
+//! The autotuning loop asks the same timing questions more than once: the
+//! final noiseless pick re-reads the simulated time of everything the
+//! search evaluated, a repeated tune of one workload on one backend
+//! re-reads the first one's, and replays and decomposed tuning reuse the
+//! per-op outcomes joint tuning computed. [`EvalCache`] memoizes
+//! whole-configuration times and per-op outcomes behind sharded `RwLock`
+//! maps so concurrent evaluator threads stay off each other's locks, and
+//! counts each layer's hits and misses for the search statistics.
 //!
 //! Keys carry a caller-chosen `salt` alongside the configuration id, so one
 //! cache can serve several distinct keyspaces at once (e.g. per-statement
@@ -139,20 +140,18 @@ impl HotPathSnapshot {
     }
 }
 
-/// Memo cache for simulated times and feature vectors, shared across SURF
-/// batches, the final selection pass, and per-statement sub-searches.
+/// Memo cache for whole-configuration simulated times and per-op
+/// outcomes, shared across SURF batches, the final selection pass, and
+/// per-statement sub-searches.
 ///
-/// A third keyspace memoizes per-op outcomes ([`OpOutcome`]): the joint
+/// The per-op layer ([`OpOutcome`]) sits under the time layer: the joint
 /// configuration space is a Cartesian product of per-op choices, so two
 /// distinct whole-program configurations usually share most of their per-op
 /// sub-configurations. Caching at op granularity turns whole-config misses
 /// into sums of per-op hits.
 pub struct EvalCache {
     times: ShardedMap<f64>,
-    features: ShardedMap<Vec<f64>>,
     ops: ShardedMap<OpOutcome>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
     time_hits: AtomicUsize,
     time_misses: AtomicUsize,
     op_hits: AtomicUsize,
@@ -170,10 +169,7 @@ impl EvalCache {
     pub fn new() -> Self {
         EvalCache {
             times: ShardedMap::new(),
-            features: ShardedMap::new(),
             ops: ShardedMap::new(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
             time_hits: AtomicUsize::new(0),
             time_misses: AtomicUsize::new(0),
             op_hits: AtomicUsize::new(0),
@@ -186,11 +182,9 @@ impl EvalCache {
     /// any lock, so a slow simulation never blocks unrelated lookups.
     pub fn time(&self, salt: u64, id: u128, compute: impl FnOnce() -> f64) -> f64 {
         if let Some(t) = self.times.get(salt, id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             self.time_hits.fetch_add(1, Ordering::Relaxed);
             return t;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         self.time_misses.fetch_add(1, Ordering::Relaxed);
         let t = compute();
         self.times.insert(salt, id, t);
@@ -198,8 +192,8 @@ impl EvalCache {
     }
 
     /// Memoized per-op outcome of `(salt, key)`. Counted separately from
-    /// the whole-configuration keyspaces so the two hit rates stay
-    /// comparable in the search statistics.
+    /// the whole-configuration times so the two hit rates stay comparable
+    /// in the search statistics.
     pub fn op_outcome(
         &self,
         salt: u64,
@@ -216,27 +210,7 @@ impl EvalCache {
         o
     }
 
-    /// Memoized feature vector of `(salt, id)`.
-    pub fn features(&self, salt: u64, id: u128, compute: impl FnOnce() -> Vec<f64>) -> Vec<f64> {
-        if let Some(x) = self.features.get(salt, id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return x;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let x = compute();
-        self.features.insert(salt, id, x.clone());
-        x
-    }
-
-    /// `(hits, misses)` so far, over times and features combined.
-    pub fn stats(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(hits, misses)` over whole-configuration times only.
+    /// `(hits, misses)` over whole-configuration times.
     pub fn time_stats(&self) -> (usize, usize) {
         (
             self.time_hits.load(Ordering::Relaxed),
@@ -244,7 +218,7 @@ impl EvalCache {
         )
     }
 
-    /// `(hits, misses)` over per-op outcomes only.
+    /// `(hits, misses)` over per-op outcomes.
     pub fn op_stats(&self) -> (usize, usize) {
         (
             self.op_hits.load(Ordering::Relaxed),
@@ -257,29 +231,15 @@ impl EvalCache {
         &self.hot
     }
 
-    /// Distinct entries currently memoized (times + features).
-    pub fn len(&self) -> usize {
-        self.times.len() + self.features.len()
-    }
-
     /// Distinct simulated times memoized — one per simulator call made
     /// through this cache.
     pub fn times_len(&self) -> usize {
         self.times.len()
     }
 
-    /// Distinct feature vectors memoized.
-    pub fn features_len(&self) -> usize {
-        self.features.len()
-    }
-
     /// Distinct per-op outcomes memoized.
     pub fn ops_len(&self) -> usize {
         self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -299,7 +259,7 @@ mod tests {
         assert_eq!(cache.time(0, 42, f), 1.5);
         assert_eq!(cache.time(0, 42, f), 1.5);
         assert_eq!(computed.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!(cache.time_stats(), (1, 1));
     }
 
     #[test]
@@ -307,17 +267,8 @@ mod tests {
         let cache = EvalCache::new();
         assert_eq!(cache.time(1, 7, || 1.0), 1.0);
         assert_eq!(cache.time(2, 7, || 2.0), 2.0);
-        assert_eq!(cache.stats(), (0, 2));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn features_memoized_independently_of_times() {
-        let cache = EvalCache::new();
-        let x = cache.features(0, 5, || vec![1.0, 0.0]);
-        assert_eq!(cache.features(0, 5, || unreachable!()), x);
-        cache.time(0, 5, || 3.0);
-        assert_eq!(cache.stats(), (1, 2));
+        assert_eq!(cache.time_stats(), (0, 2));
+        assert_eq!(cache.times_len(), 2);
     }
 
     #[test]
@@ -330,8 +281,6 @@ mod tests {
         assert_eq!(cache.op_outcome(3, 9, || unreachable!()), o);
         assert_eq!(cache.op_stats(), (1, 1));
         assert_eq!(cache.time_stats(), (0, 1));
-        // Combined whole-config stats are untouched by per-op traffic.
-        assert_eq!(cache.stats(), (0, 1));
         assert_eq!(cache.ops_len(), 1);
         assert_eq!(cache.times_len(), 1);
     }

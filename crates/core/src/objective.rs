@@ -12,7 +12,7 @@
 //! The default objective is time-only with no budget, and its score *is*
 //! the raw simulated time (bit-for-bit — see [`Objective::score`]), so
 //! every existing pick, timing line and stored plan is reproduced exactly.
-//! Plans record the objective they were tuned under (schema v3), and
+//! Plans record the objective they were tuned under (schema v4), and
 //! replay refuses a plan whose recorded objective differs from the one
 //! requested — a memory-capped plan must never silently serve a time-only
 //! query or vice versa.

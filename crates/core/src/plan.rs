@@ -13,13 +13,13 @@
 //! Plans are versioned hand-rolled JSON (see [`crate::json`] — no serde in
 //! this repo): `f64` values round-trip bit-exactly via Rust's shortest
 //! `Display`, and `u128`/`u64` quantities that exceed double precision
-//! travel as strings. This build reads and writes one layout, schema v3,
-//! which embeds the backend cache salt, the quarantine entries, the memo
-//! counters, the search objective (weights, memory budget, budget mode)
-//! and the pick's modeled memory statistics. A plan of any other schema —
-//! the v1 and v2 layouts of older builds included — is a typed
-//! [`BarracudaError::Plan`] (CLI exit code 10); `barracuda plans gc`
-//! evicts store entries filed under an older schema.
+//! travel as strings. This build reads and writes one layout, schema v4,
+//! which embeds the backend cache salt, the quarantine entries, the time
+//! and per-op memo counters, the search objective (weights, memory budget,
+//! budget mode) and the pick's modeled memory statistics. A plan of any
+//! other schema — the v1, v2 and v3 layouts of older builds included — is
+//! a typed [`BarracudaError::Plan`] (CLI exit code 10); `barracuda plans
+//! gc` evicts store entries filed under an older schema.
 //! [`TunedPlan::replay_built_in`] rejects a plan whose workload fingerprint
 //! or backend cache salt no longer matches with the same typed error, then
 //! re-maps and re-times the configuration on the workload's lowering —
@@ -42,7 +42,7 @@ use surf::SearchStatus;
 
 /// Version of the on-disk plan schema. Bump on any incompatible change;
 /// readers reject every other version rather than misinterpreting fields.
-pub const PLAN_SCHEMA_VERSION: u64 = 3;
+pub const PLAN_SCHEMA_VERSION: u64 = 4;
 
 /// One per-statement choice of the plan's joint configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -147,7 +147,7 @@ impl TunedPlan {
         }
     }
 
-    /// The plan as pretty-printed JSON text in the schema-v3 layout.
+    /// The plan as pretty-printed JSON text in the schema-v4 layout.
     pub fn to_json_text(&self) -> String {
         Json::Obj(vec![
             (
@@ -228,7 +228,7 @@ impl TunedPlan {
         .to_string_pretty()
     }
 
-    /// Parses a plan from JSON text. Every schema-v3 field is required;
+    /// Parses a plan from JSON text. Every schema-v4 field is required;
     /// any other schema version is a typed [`BarracudaError::Plan`].
     pub fn from_json_text(text: &str) -> Result<TunedPlan, BarracudaError> {
         // Errors name the plan's workload once it is known.
@@ -478,7 +478,7 @@ impl TunedPlan {
 }
 
 /// The `provenance` object of a plan: the search's counters, with the
-/// three hit rates derived from them, and its status.
+/// two hit rates derived from them, and its status.
 fn provenance_json(s: &SearchStats, status: &SearchStatus) -> Json {
     let count = |n: usize| Json::Num(n as f64);
     // Nanosecond and byte totals can exceed the 2^53 doubles carry exactly.
@@ -492,11 +492,8 @@ fn provenance_json(s: &SearchStats, status: &SearchStatus) -> Json {
         ("threads".into(), count(s.threads)),
         ("quarantined_versions".into(), count(s.quarantined_versions)),
         ("quarantined_configs".into(), count(s.quarantined_configs)),
-        ("cache_hit_rate".into(), Json::Num(s.cache_hit_rate())),
         ("per_op_hit_rate".into(), Json::Num(s.per_op_hit_rate())),
         ("time_hit_rate".into(), Json::Num(s.time_hit_rate())),
-        ("cache_hits".into(), count(s.cache_hits)),
-        ("cache_misses".into(), count(s.cache_misses)),
         ("per_op_hits".into(), count(s.per_op_hits)),
         ("per_op_misses".into(), count(s.per_op_misses)),
         ("time_hits".into(), count(s.time_hits)),
@@ -636,10 +633,10 @@ impl Fields {
         })
     }
 
-    /// Inverse of [`provenance_json`]. The three hit rates must be present
+    /// Inverse of [`provenance_json`]. The two hit rates must be present
     /// and numeric, but the counters they derive from are what is kept.
     fn provenance(&self, p: &Json) -> Result<(SearchStats, SearchStatus), BarracudaError> {
-        for rate in ["cache_hit_rate", "per_op_hit_rate", "time_hit_rate"] {
+        for rate in ["per_op_hit_rate", "time_hit_rate"] {
             self.f64(p, rate)?;
         }
         let hot = self.field(p, "hot")?;
@@ -649,8 +646,6 @@ impl Fields {
             evaluated_times: Vec::new(),
             space_size: self.decimal(p, "space_size")?,
             pool_size: self.usize(p, "pool_size")?,
-            cache_hits: self.usize(p, "cache_hits")?,
-            cache_misses: self.usize(p, "cache_misses")?,
             wall_s: self.f64(p, "wall_s")?,
             threads: self.usize(p, "threads")?,
             quarantined_versions: self.usize(p, "quarantined_versions")?,
@@ -740,9 +735,10 @@ mod tests {
     }
 
     #[test]
-    fn v3_plans_carry_backend_salt_memo_counters_and_objective() {
+    fn plans_carry_schema_backend_salt_memo_counters_and_objective() {
         let (_, plan) = tuned_plan(16);
-        assert!(plan.to_json_text().contains("\"schema_version\": 3"));
+        let schema = format!("\"schema_version\": {PLAN_SCHEMA_VERSION}");
+        assert!(plan.to_json_text().contains(&schema));
         let expected = BackendSet::builtin().get("k20").unwrap().cache_salt();
         assert_eq!(plan.cache_salt, expected);
         assert_ne!(plan.cache_salt, 0);
@@ -849,9 +845,10 @@ mod tests {
     #[test]
     fn wrong_schema_version_is_rejected() {
         let (_, plan) = tuned_plan(16);
-        let text = plan
-            .to_json_text()
-            .replace("\"schema_version\": 3", "\"schema_version\": 999");
+        let text = plan.to_json_text().replace(
+            &format!("\"schema_version\": {PLAN_SCHEMA_VERSION}"),
+            "\"schema_version\": 999",
+        );
         let err = TunedPlan::from_json_text(&text).unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert!(err.to_string().contains("schema version"));
@@ -861,7 +858,8 @@ mod tests {
     fn corrupt_json_is_a_typed_plan_error() {
         let err = TunedPlan::from_json_text("{not json").unwrap_err();
         assert_eq!(err.stage(), "plan");
-        let err = TunedPlan::from_json_text("{\"schema_version\": 3}").unwrap_err();
+        let text = format!("{{\"schema_version\": {PLAN_SCHEMA_VERSION}}}");
+        let err = TunedPlan::from_json_text(&text).unwrap_err();
         assert!(err.to_string().contains("missing"));
     }
 }

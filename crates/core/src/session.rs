@@ -5,12 +5,13 @@
 //! by hand: the [`BackendSet`] its keys resolve against, one record **per
 //! workload fingerprint**, and an optional content-addressed
 //! [`PlanStore`]. A workload's record holds its shared [`EvalCache`] —
-//! cache keys are `(salt, configuration id)` and configuration ids are
-//! workload-local, so backends tuning the same workload share timings and
-//! features while distinct workloads can never alias each other's entries
-//! — and, once [`TuningSession::tuner_for`] has asked for it, its lowering
-//! (the [`WorkloadTuner`]), built at most once. With a store attached,
-//! `tune` is store-first: a hit replays the persisted plan — zero search
+//! cache keys are `(salt, configuration id)`, the salt names the
+//! architecture and configuration ids are workload-local, so repeated
+//! tunes and replays of one workload on one backend share simulated times
+//! while different backends and distinct workloads never alias each
+//! other's entries — and, once [`TuningSession::tuner_for`] has asked for
+//! it, its lowering (the [`WorkloadTuner`]), built at most once. With a
+//! store attached, `tune` is store-first: a hit replays the persisted plan — zero search
 //! evaluations, bit-identical timing, full quarantine report — and a miss
 //! runs SURF then persists the result under its content address, so the
 //! *next* session hits. This is the paper's compile-once/run-many loop
@@ -622,7 +623,7 @@ mod tests {
         // Configuration ids are workload-local, so two workloads tuned
         // through one session must land in separate caches — a shared
         // cache would alias their ids and serve one workload the other's
-        // memoized features/timings. Each result must match a
+        // memoized timings. Each result must match a
         // fresh-cache tune bit-for-bit.
         let a = matmul(16);
         let b = crate::kernels::lg3(4, 6);

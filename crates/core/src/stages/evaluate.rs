@@ -261,9 +261,9 @@ fn checked_time(
     Ok(t)
 }
 
-/// Thread-safe joint-configuration evaluator: memoized simulated times and
-/// features from a shared [`EvalCache`], plus the deterministic measurement
-/// noise SURF observes. Implements [`surf::ParallelEvaluator`], so one
+/// Thread-safe joint-configuration evaluator: memoized simulated times
+/// from a shared [`EvalCache`], features straight from the lowering, plus
+/// the deterministic measurement noise SURF observes. Implements [`surf::ParallelEvaluator`], so one
 /// instance serves both the serial and the parallel search — noise is
 /// keyed by configuration id, never by evaluation order, which is what
 /// keeps parallel runs bit-identical to serial ones.
@@ -322,9 +322,7 @@ impl<'a> TunerEvaluator<'a> {
 
 impl ParallelEvaluator for TunerEvaluator<'_> {
     fn features(&self, id: u128) -> Vec<f64> {
-        // Features are arch-independent; salt 0 shares them across archs.
-        self.cache
-            .features(0, id, || lower::joint_features(self.statements, id))
+        lower::joint_features(self.statements, id)
     }
 
     fn evaluate(&self, id: u128) -> f64 {
@@ -429,8 +427,7 @@ impl StatementEvaluator<'_> {
 
 impl ParallelEvaluator for StatementEvaluator<'_> {
     fn features(&self, local: u128) -> Vec<f64> {
-        self.cache
-            .features(self.salt, local, || self.st.features(local))
+        self.st.features(local)
     }
 
     fn evaluate(&self, local: u128) -> f64 {

@@ -196,10 +196,6 @@ pub struct SearchStats {
     /// Size of the full configuration space (before pool sampling).
     pub space_size: u128,
     pub pool_size: usize,
-    /// Memo-cache hits during this run (times + features combined).
-    pub cache_hits: usize,
-    /// Memo-cache misses during this run (= distinct computations).
-    pub cache_misses: usize,
     /// Wall-clock seconds spent inside the SURF search.
     pub wall_s: f64,
     /// Threads the evaluation ran on (1 = serial).
@@ -259,19 +255,9 @@ impl SearchStats {
         self.space_size as f64 * (arch.compile_seconds + reps as f64 * avg + 0.1)
     }
 
-    /// Fraction of cache lookups served without recomputation.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Fraction of per-op outcome lookups served from the memo layer. The
     /// joint space is a Cartesian product of per-op choices, so this runs
-    /// far above the whole-configuration rates: a fresh joint id usually
+    /// far above the whole-configuration time rate: a fresh joint id usually
     /// re-combines already-seen sub-configurations.
     pub fn per_op_hit_rate(&self) -> f64 {
         let total = self.per_op_hits + self.per_op_misses;
@@ -374,8 +360,6 @@ fn versions_over_budget(objective: &Objective, mem_table: &[Vec<(u64, u64)>]) ->
 /// Memo-cache counters of an [`EvalCache`], read at the start of a run so
 /// its statistics report only the traffic the run caused.
 struct CacheCounters {
-    /// Times + features combined.
-    all: (usize, usize),
     time: (usize, usize),
     op: (usize, usize),
     hot: HotPathSnapshot,
@@ -384,7 +368,6 @@ struct CacheCounters {
 impl CacheCounters {
     fn read(cache: &EvalCache) -> Self {
         CacheCounters {
-            all: cache.stats(),
             time: cache.time_stats(),
             op: cache.op_stats(),
             hot: cache.hot().snapshot(),
@@ -396,7 +379,6 @@ impl CacheCounters {
     /// the cache does not see, is kept.
     fn record_since(&self, cache: &EvalCache, stats: &mut SearchStats) {
         let now = CacheCounters::read(cache);
-        (stats.cache_hits, stats.cache_misses) = (now.all.0 - self.all.0, now.all.1 - self.all.1);
         (stats.time_hits, stats.time_misses) = (now.time.0 - self.time.0, now.time.1 - self.time.1);
         (stats.per_op_hits, stats.per_op_misses) = (now.op.0 - self.op.0, now.op.1 - self.op.1);
         stats.hot = HotPathSnapshot {

@@ -750,12 +750,13 @@ mod tests {
         // Copies of the live entry under spellings `file_name` never
         // writes. Each decoded to a key once, so `plans list` showed it
         // and `gc` "evicted" a different path, leaving the file behind.
+        let v = PLAN_SCHEMA_VERSION;
         let aliases = [
-            format!("{fp}-{salt}-v2-%6B20.plan.json"),
-            format!("{fp}-{salt}-v2-k%2b.plan.json"),
-            format!("+{}-{salt}-v2-k20.plan.json", &fp[1..]),
-            format!("{fp}-{}-v2-k20.plan.json", salt.to_uppercase()),
-            format!("{fp}-{salt}-v03-k20.plan.json"),
+            format!("{fp}-{salt}-v{v}-%6B20.plan.json"),
+            format!("{fp}-{salt}-v{v}-k%2b.plan.json"),
+            format!("+{}-{salt}-v{v}-k20.plan.json", &fp[1..]),
+            format!("{fp}-{}-v{v}-k20.plan.json", salt.to_uppercase()),
+            format!("{fp}-{salt}-v0{v}-k20.plan.json"),
         ];
         for alias in &aliases {
             assert_eq!(StoreKey::parse_file_name(alias), None, "{alias}");
@@ -859,9 +860,10 @@ mod tests {
             cache_salt: 0,
             ..StoreKey::of_plan(&plan)
         };
-        let v1_text = plan
-            .to_json_text()
-            .replace("\"schema_version\": 3", "\"schema_version\": 1");
+        let v1_text = plan.to_json_text().replace(
+            &format!("\"schema_version\": {PLAN_SCHEMA_VERSION}"),
+            "\"schema_version\": 1",
+        );
         std::fs::write(store.path_of(&v1), v1_text).unwrap();
         assert_eq!(store.scan().unwrap().entries.len(), 2);
         let evicted = store.gc().unwrap();

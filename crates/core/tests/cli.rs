@@ -1,5 +1,6 @@
 //! Integration tests for the `barracuda` command-line tool.
 
+use barracuda::PLAN_SCHEMA_VERSION;
 use std::process::Command;
 
 fn bin() -> Command {
@@ -690,18 +691,24 @@ fn plans_gc_evicts_a_planted_v1_plan() {
 
     // Plant a v1 copy at its schema-1 address (what a pre-v2 build would
     // have left behind: salt zero, schema tag 1).
-    let v3_path = std::fs::read_dir(&store)
+    let current_tag = format!("-v{PLAN_SCHEMA_VERSION}-");
+    let current_path = std::fs::read_dir(&store)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .find(|p| p.to_string_lossy().contains("-v3-"))
+        .find(|p| p.to_string_lossy().contains(&current_tag))
         .unwrap();
-    let v3_name = v3_path.file_name().unwrap().to_string_lossy().into_owned();
-    let (fingerprint, _) = v3_name.split_once('-').unwrap();
-    let v1_path = store.join(format!("{fingerprint}-{:016x}-v1-k20.plan.json", 0));
-    let v1_text = std::fs::read_to_string(&v3_path)
+    let current_name = current_path
+        .file_name()
         .unwrap()
-        .replace("\"schema_version\": 3", "\"schema_version\": 1");
+        .to_string_lossy()
+        .into_owned();
+    let (fingerprint, _) = current_name.split_once('-').unwrap();
+    let v1_path = store.join(format!("{fingerprint}-{:016x}-v1-k20.plan.json", 0));
+    let v1_text = std::fs::read_to_string(&current_path).unwrap().replace(
+        &format!("\"schema_version\": {PLAN_SCHEMA_VERSION}"),
+        "\"schema_version\": 1",
+    );
     std::fs::write(&v1_path, v1_text).unwrap();
 
     let list = bin()
@@ -720,7 +727,7 @@ fn plans_gc_evicts_a_planted_v1_plan() {
     let gc_text = String::from_utf8_lossy(&gc.stdout);
     assert!(gc_text.contains("evicted 1 stale plan(s)"), "{gc_text}");
     assert!(!v1_path.exists());
-    assert!(v3_path.exists(), "gc must keep the current entry");
+    assert!(current_path.exists(), "gc must keep the current entry");
 
     let relist = bin()
         .args(["plans", "list", "--store", store.to_str().unwrap()])
@@ -731,9 +738,11 @@ fn plans_gc_evicts_a_planted_v1_plan() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
-/// A saved v3 plan edited back into an older layout: `schema_version` set
-/// to `schema` and the fields that schema lacked dropped.
-fn legacy_plan_text(v3: &str, schema: u64) -> String {
+/// A saved current-schema plan edited back into an older layout:
+/// `schema_version` set to `schema` and the fields that schema lacked
+/// dropped. Fields a later schema dropped are not restored: the reader
+/// refuses on the version number before it reads any other field.
+fn legacy_plan_text(current: &str, schema: u64) -> String {
     use barracuda::json::Json;
     const V2_LACKED: [&str; 5] = [
         "objective",
@@ -742,20 +751,19 @@ fn legacy_plan_text(v3: &str, schema: u64) -> String {
         "peak_temp_bytes",
         "rw_bytes",
     ];
-    const V1_ALSO_LACKED: [&str; 9] = [
+    const V1_ALSO_LACKED: [&str; 7] = [
         "cache_salt",
         "quarantine",
-        "cache_hits",
-        "cache_misses",
         "per_op_hits",
         "per_op_misses",
         "time_hits",
         "time_misses",
         "hot",
     ];
-    let lacked =
-        |key: &str| V2_LACKED.contains(&key) || (schema < 2 && V1_ALSO_LACKED.contains(&key));
-    let Json::Obj(mut top) = Json::parse(v3).unwrap() else {
+    let lacked = |key: &str| {
+        (schema < 3 && V2_LACKED.contains(&key)) || (schema < 2 && V1_ALSO_LACKED.contains(&key))
+    };
+    let Json::Obj(mut top) = Json::parse(current).unwrap() else {
         panic!("a plan is a JSON object");
     };
     top.retain(|(k, _)| !lacked(k));
@@ -770,7 +778,7 @@ fn legacy_plan_text(v3: &str, schema: u64) -> String {
 }
 
 #[test]
-fn v1_and_v2_plan_files_are_typed_plan_errors_exit_10() {
+fn older_schema_plan_files_are_typed_plan_errors_exit_10() {
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let saved = dir.join(format!("barracuda_cli_legacy_{pid}.plan.json"));
@@ -789,12 +797,12 @@ fn v1_and_v2_plan_files_are_typed_plan_errors_exit_10() {
         .output()
         .unwrap();
     assert!(tune.status.success());
-    let v3 = std::fs::read_to_string(&saved).unwrap();
-    for schema in [1, 2] {
-        let text = legacy_plan_text(&v3, schema);
-        assert!(!text.contains("\"objective\""), "{text}");
-        assert!(!text.contains("peak_temp_bytes"), "{text}");
-        assert_eq!(text.contains("cache_salt"), schema == 2, "{text}");
+    let current = std::fs::read_to_string(&saved).unwrap();
+    for schema in 1..PLAN_SCHEMA_VERSION {
+        let text = legacy_plan_text(&current, schema);
+        assert_eq!(text.contains("\"objective\""), schema > 2, "{text}");
+        assert_eq!(text.contains("peak_temp_bytes"), schema > 2, "{text}");
+        assert_eq!(text.contains("cache_salt"), schema > 1, "{text}");
         let refusal = format!("unsupported schema version {schema}");
         let err = barracuda::TunedPlan::from_json_text(&text).unwrap_err();
         assert_eq!(err.stage(), "plan");
@@ -888,7 +896,10 @@ fn stale_schema_version_exits_10() {
     let text = std::fs::read_to_string(&plan).unwrap();
     std::fs::write(
         &plan,
-        text.replace("\"schema_version\": 3", "\"schema_version\": 999"),
+        text.replace(
+            &format!("\"schema_version\": {PLAN_SCHEMA_VERSION}"),
+            "\"schema_version\": 999",
+        ),
     )
     .unwrap();
     let replay = bin()

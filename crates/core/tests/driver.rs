@@ -191,7 +191,7 @@ fn one_search_never_duplicates_a_simulation() {
     let tuned = tuner
         .autotune_with_cache(&arch, TuneParams::quick(), &cache)
         .unwrap();
-    let total_lookups = tuned.search.cache_hits + tuned.search.cache_misses;
+    let total_lookups = tuned.search.time_hits + tuned.search.time_misses;
     assert!(total_lookups > 0);
     // Distinct simulations recorded in the shared cache must equal the
     // evaluation count — zero duplicate simulator calls.
@@ -212,8 +212,8 @@ fn shared_cache_skips_resimulation_on_reruns() {
         .unwrap();
     assert_eq!(first.id, second.id);
     // The second run re-simulates nothing: every time lookup hits.
-    assert_eq!(second.search.cache_misses, 0);
-    assert!(second.search.cache_hit_rate() == 1.0);
+    assert_eq!(second.search.time_misses, 0);
+    assert!(second.search.time_hit_rate() == 1.0);
 }
 
 #[test]

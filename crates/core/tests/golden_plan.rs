@@ -2,9 +2,12 @@
 //!
 //! A plan file is the artifact a search leaves behind for every later
 //! replay: `--save-plan` files and plan-store entries written by one build
-//! must keep replaying on the next. These texts were captured from the
-//! plan writer before its code was reorganized. A change here means the
-//! on-disk layout moved; that is a format break, not a test to re-bless.
+//! must keep replaying on the next. These texts are the schema-v4 capture:
+//! the v3 capture with `schema_version` at 4 and without the three
+//! provenance fields v4 dropped (the combined time-and-feature memo hit
+//! rate, hits and misses), every other byte unchanged. A change here means
+//! the on-disk layout moved; that is a format break, not a test to
+//! re-bless.
 //!
 //! Two plans, both tuned on the K20 with `threads = 1`:
 //! - tce under `TuneParams::quick()`, the plain case;
@@ -23,7 +26,7 @@ use surf::FaultPlan;
 
 const GOLDEN_TCE: &str = r#"
 {
-  "schema_version": 3,
+  "schema_version": 4,
   "workload": "tce",
   "source": "S[a b i j] = Sum([c d e f k l], A[a c i k] * B[b e f l] * C[d f j k] * D[c d e l])",
   "dims": {
@@ -69,11 +72,8 @@ const GOLDEN_TCE: &str = r#"
     "threads": 1,
     "quarantined_versions": 0,
     "quarantined_configs": 0,
-    "cache_hit_rate": 0.015444015444015444,
     "per_op_hit_rate": 0.016666666666666666,
     "time_hit_rate": 0,
-    "cache_hits": 32,
-    "cache_misses": 2040,
     "per_op_hits": 2,
     "per_op_misses": 118,
     "time_hits": 0,
@@ -96,7 +96,7 @@ const GOLDEN_TCE: &str = r#"
 
 const GOLDEN_EQN1: &str = r#"
 {
-  "schema_version": 3,
+  "schema_version": 4,
   "workload": "ex",
   "source": "V[i j k] = Sum([l m n], A[l k] * B[m j] * C[n i] * U[l m n])",
   "dims": {
@@ -160,11 +160,8 @@ const GOLDEN_EQN1: &str = r#"
     "threads": 1,
     "quarantined_versions": 0,
     "quarantined_configs": 3,
-    "cache_hit_rate": 0.007858546168958742,
     "per_op_hit_rate": 0.031746031746031744,
     "time_hit_rate": 0,
-    "cache_hits": 16,
-    "cache_misses": 2020,
     "per_op_hits": 2,
     "per_op_misses": 61,
     "time_hits": 0,

@@ -62,14 +62,7 @@ fn search() -> impl Strategy<Value = SearchStats> {
         (finite_f64(), counter(), counter(), counter()),
         // Memo counters, then the hot-path nanoseconds (strings on disk,
         // so the full u64 range must survive).
-        (
-            counter(),
-            counter(),
-            counter(),
-            counter(),
-            counter(),
-            counter(),
-        ),
+        (counter(), counter(), counter(), counter()),
         (
             (0u64..=u64::MAX),
             (0u64..=u64::MAX),
@@ -84,7 +77,7 @@ fn search() -> impl Strategy<Value = SearchStats> {
             |(
                 (n_evals, batches, space_size, pool_size),
                 (wall_s, threads, quarantined_versions, quarantined_configs),
-                (cache_hits, cache_misses, per_op_hits, per_op_misses, time_hits, time_misses),
+                (per_op_hits, per_op_misses, time_hits, time_misses),
                 (decode_ns, map_ns, sim_ns, predict_ns),
                 (pruned_by_memory, versions_over_budget, peak_temp_bytes, rw_bytes),
             )| SearchStats {
@@ -93,8 +86,6 @@ fn search() -> impl Strategy<Value = SearchStats> {
                 evaluated_times: Vec::new(),
                 space_size,
                 pool_size,
-                cache_hits,
-                cache_misses,
                 wall_s,
                 threads,
                 quarantined_versions,

@@ -117,10 +117,10 @@ fn shared_cache_never_resimulates_across_runs() {
     let cache = EvalCache::new();
     let tuner = WorkloadTuner::build(&w);
     let a = tuner.autotune_with_cache(&arch, quick(), &cache).unwrap();
-    assert!(a.search.cache_misses > 0);
+    assert!(a.search.time_misses > 0);
     let b = tuner.autotune_with_cache(&arch, quick(), &cache).unwrap();
     assert_eq!(
-        b.search.cache_misses, 0,
+        b.search.time_misses, 0,
         "second run must be served entirely from the shared cache"
     );
     assert_eq!(a.id, b.id);
