@@ -59,8 +59,8 @@ pub fn run_benchmark(
 }
 
 /// Runs the full table on an explicit architecture list (`--backend`).
-/// One [`TuningSession`] spans the whole table, so repeated ops share the
-/// session's feature memo across benchmarks and architectures.
+/// One [`TuningSession`] spans the whole table and keeps one record per
+/// benchmark.
 pub fn run_with_archs(archs: &[GpuArch], params: TuneParams) -> Vec<Table2Row> {
     let session = TuningSession::new();
     barracuda::kernels::table2_benchmarks()

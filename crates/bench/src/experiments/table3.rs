@@ -31,7 +31,7 @@ pub fn run_arch(
 }
 
 /// Runs the table on an explicit architecture list (`--backend`). One
-/// [`TuningSession`] spans both architectures, sharing the feature memo.
+/// [`TuningSession`] spans both architectures.
 pub fn run_with_archs(archs: &[gpusim::GpuArch], params: TuneParams) -> Vec<Table3Row> {
     let cfg = NekboneConfig::default();
     let session = TuningSession::new();

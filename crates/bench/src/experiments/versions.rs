@@ -23,10 +23,9 @@ pub struct VersionsResult {
 }
 
 /// Best time of each equal-flop Eqn. (1) version over `sweep` uniform
-/// draws from its own space. The draws come from one fixed-seed generator:
-/// a strided sweep (`total * k / sweep`) hits the same digits of every
-/// version's mixed-radix space at some sweeps, 100 and 200 among them,
-/// and misses the fast configurations of all six alike.
+/// draws from its own space, all from one fixed-seed generator. A strided
+/// sweep (`total * k / sweep`) is no sample: at 200 steps it gave all six
+/// versions the same best time.
 pub fn run(sweep: usize) -> VersionsResult {
     let w = barracuda::kernels::eqn1(barracuda::kernels::EQN1_N);
     let tuner = StatementTuner::build("ex", &w.statements[0], &w.dims);
@@ -82,7 +81,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_paper_counts_at_the_binaries_sweep() {
+    fn matches_paper_counts() {
         let r = run(SWEEP);
         println!("{}", render(&r));
         assert_eq!(r.n_versions, 15);

@@ -69,10 +69,9 @@ pub trait Backend: Send + Sync {
 
     fn caps(&self) -> BackendCaps;
 
-    /// Salt separating this backend's entries in a shared
-    /// [`crate::EvalCache`] keyspace. Backends with equal salts may share
-    /// cached timings; the arch-independent feature memo (salt 0) is
-    /// always shared.
+    /// Salt naming this backend's model revision: plans and store entries
+    /// carry it, and replay refuses a plan whose salt differs. Never 0, so
+    /// a plan whose salt reads zero matches no backend.
     fn cache_salt(&self) -> u64;
 
     /// End-to-end modeled seconds (device + transfers, or CPU wall time) of
@@ -492,13 +491,13 @@ mod tests {
     }
 
     #[test]
-    fn gpu_salts_are_distinct_and_feature_salt_shared() {
+    fn backend_salts_are_distinct_and_never_zero() {
         let salts: BTreeSet<u64> = BackendSet::builtin()
             .iter()
             .map(|b| b.cache_salt())
             .collect();
         assert_eq!(salts.len(), 7, "no two backends may share a timing salt");
-        assert!(!salts.contains(&0), "salt 0 is the shared feature memo");
+        assert!(!salts.contains(&0), "salt 0 must match no backend");
     }
 
     #[test]

@@ -691,21 +691,17 @@ fn plans_gc_evicts_a_planted_v1_plan() {
 
     // Plant a v1 copy at its schema-1 address (what a pre-v2 build would
     // have left behind: salt zero, schema tag 1).
-    let current_tag = format!("-v{PLAN_SCHEMA_VERSION}-");
-    let current_path = std::fs::read_dir(&store)
+    let tag = format!("-v{PLAN_SCHEMA_VERSION}-");
+    let live = std::fs::read_dir(&store)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .find(|p| p.to_string_lossy().contains(&current_tag))
+        .find(|p| p.to_string_lossy().contains(&tag))
         .unwrap();
-    let current_name = current_path
-        .file_name()
-        .unwrap()
-        .to_string_lossy()
-        .into_owned();
-    let (fingerprint, _) = current_name.split_once('-').unwrap();
+    let name = live.file_name().unwrap().to_string_lossy().into_owned();
+    let (fingerprint, _) = name.split_once('-').unwrap();
     let v1_path = store.join(format!("{fingerprint}-{:016x}-v1-k20.plan.json", 0));
-    let v1_text = std::fs::read_to_string(&current_path).unwrap().replace(
+    let v1_text = std::fs::read_to_string(&live).unwrap().replace(
         &format!("\"schema_version\": {PLAN_SCHEMA_VERSION}"),
         "\"schema_version\": 1",
     );
@@ -727,7 +723,7 @@ fn plans_gc_evicts_a_planted_v1_plan() {
     let gc_text = String::from_utf8_lossy(&gc.stdout);
     assert!(gc_text.contains("evicted 1 stale plan(s)"), "{gc_text}");
     assert!(!v1_path.exists());
-    assert!(current_path.exists(), "gc must keep the current entry");
+    assert!(live.exists(), "gc must keep the current entry");
 
     let relist = bin()
         .args(["plans", "list", "--store", store.to_str().unwrap()])

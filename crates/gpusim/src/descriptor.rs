@@ -55,7 +55,7 @@ impl fmt::Display for DescriptorError {
 impl std::error::Error for DescriptorError {}
 
 /// FNV-1a offset basis (also the fallback for the astronomically unlikely
-/// zero digest — salt 0 is reserved for the shared feature memo).
+/// zero digest — a plan whose salt reads zero must match no backend).
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -323,7 +323,8 @@ impl ArchDescriptor {
     /// Content digest: FNV-1a over [`Self::canonical_toml`]. Two
     /// descriptors share a digest iff every field is bit-identical;
     /// whitespace, comments, and key order in the source file are
-    /// irrelevant. Never 0 (reserved for the shared feature memo).
+    /// irrelevant. Never 0: a plan whose salt reads zero must match no
+    /// backend.
     pub fn digest(&self) -> u64 {
         match fnv1a(self.canonical_toml().as_bytes()) {
             0 => FNV_OFFSET,
