@@ -11,13 +11,13 @@
 //! while different backends and distinct workloads never alias each
 //! other's entries — and, once [`TuningSession::tuner_for`] has asked for
 //! it, its lowering (the [`WorkloadTuner`]), built at most once. With a
-//! store attached, `tune` is store-first: a hit replays the persisted plan — zero search
-//! evaluations, bit-identical timing, full quarantine report — and a miss
-//! runs SURF then persists the result under its content address, so the
-//! *next* session hits. This is the paper's compile-once/run-many loop
-//! (§5) made a first-class object instead of a pattern each binary
-//! reimplements. It is also the one sweep over a whole backend set
-//! ([`TuningSession::tune_all`]).
+//! store attached, `tune` is store-first: a hit replays the persisted
+//! plan — zero search evaluations, bit-identical timing, full quarantine
+//! report — and a miss runs SURF then persists the result under its
+//! content address, so the *next* session hits. This is the paper's
+//! compile-once/run-many loop (§5) made a first-class object instead of a
+//! pattern each binary reimplements. It is also the one sweep over a whole
+//! backend set ([`TuningSession::tune_all`]).
 
 use std::collections::HashMap;
 use std::path::PathBuf;

@@ -263,10 +263,11 @@ fn checked_time(
 
 /// Thread-safe joint-configuration evaluator: memoized simulated times
 /// from a shared [`EvalCache`], features straight from the lowering, plus
-/// the deterministic measurement noise SURF observes. Implements [`surf::ParallelEvaluator`], so one
-/// instance serves both the serial and the parallel search — noise is
-/// keyed by configuration id, never by evaluation order, which is what
-/// keeps parallel runs bit-identical to serial ones.
+/// the deterministic measurement noise SURF observes. Implements
+/// [`surf::ParallelEvaluator`], so one instance serves both the serial and
+/// the parallel search — noise is keyed by configuration id, never by
+/// evaluation order, which is what keeps parallel runs bit-identical to
+/// serial ones.
 pub struct TunerEvaluator<'a> {
     workload: &'a Workload,
     statements: &'a [StatementTuner],
