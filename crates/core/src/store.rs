@@ -750,12 +750,13 @@ mod tests {
         // Copies of the live entry under spellings `file_name` never
         // writes. Each decoded to a key once, so `plans list` showed it
         // and `gc` "evicted" a different path, leaving the file behind.
-        let v = PLAN_SCHEMA_VERSION;
+        // All but the last name a stale schema, which `gc` would evict.
+        let (v, stale) = (PLAN_SCHEMA_VERSION, PLAN_SCHEMA_VERSION - 1);
         let aliases = [
-            format!("{fp}-{salt}-v{v}-%6B20.plan.json"),
-            format!("{fp}-{salt}-v{v}-k%2b.plan.json"),
-            format!("+{}-{salt}-v{v}-k20.plan.json", &fp[1..]),
-            format!("{fp}-{}-v{v}-k20.plan.json", salt.to_uppercase()),
+            format!("{fp}-{salt}-v{stale}-%6B20.plan.json"),
+            format!("{fp}-{salt}-v{stale}-k%2b.plan.json"),
+            format!("+{}-{salt}-v{stale}-k20.plan.json", &fp[1..]),
+            format!("{fp}-{}-v{stale}-k20.plan.json", salt.to_uppercase()),
             format!("{fp}-{salt}-v0{v}-k20.plan.json"),
         ];
         for alias in &aliases {

@@ -74,8 +74,8 @@ fn session_tuning_matches_direct_arch_tuning_bitwise() {
 }
 
 /// The GPU backends' plan-store salts are the descriptor digests — and
-/// differ from the eval-cache salts (which stay keyed by display name so
-/// the shared feature memo layout is unchanged).
+/// differ from the eval-cache salts, which stay keyed by display name
+/// because they only tell architectures apart inside one in-memory cache.
 #[test]
 fn gpu_store_salts_are_descriptor_digests() {
     for key in ["gtx980", "k20", "c2050"] {

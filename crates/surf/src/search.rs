@@ -708,59 +708,33 @@ mod tests {
 
     #[test]
     fn parallel_never_reevaluates_a_configuration() {
+        // Features: the init batch is featurized when it is measured, the
+        // rest of the pool once on the first scoring pass, and each refit
+        // batch again when it is measured: 10 + 490 + 90 calls, 90 ids
+        // twice. A search that re-featurized the pool on every refit would
+        // ask for 490 rows per round instead.
         struct Counting {
-            calls: Vec<AtomicUsize>,
+            features: Vec<AtomicUsize>,
+            evals: Vec<AtomicUsize>,
         }
         impl ParallelEvaluator for Counting {
             fn features(&self, id: u128) -> Vec<f64> {
+                self.features[id as usize].fetch_add(1, Ordering::Relaxed);
                 feats(id)
             }
             fn evaluate(&self, id: u128) -> f64 {
-                self.calls[id as usize].fetch_add(1, Ordering::Relaxed);
+                self.evals[id as usize].fetch_add(1, Ordering::Relaxed);
                 landscape(id)
             }
         }
-        let pool: Vec<u128> = (0..500).collect();
-        let evaluator = Counting {
-            calls: counters(500),
+        let loads = |c: &[AtomicUsize]| -> Vec<usize> {
+            c.iter().map(|c| c.load(Ordering::Relaxed)).collect()
         };
-        let res = surf_search_parallel(&pool, &evaluator, SurfParams::default()).unwrap();
-        assert_eq!(res.n_evals(), 100);
-        assert!(evaluator
-            .calls
-            .iter()
-            .all(|c| c.load(Ordering::Relaxed) <= 1));
-        let total: usize = evaluator
-            .calls
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn featurizes_the_pool_once_and_each_measured_batch_once_more() {
-        // The init batch is featurized when it is measured, the rest of
-        // the pool once on the first scoring pass, and each refit batch
-        // again when it is measured: 10 + 490 + 90 calls, 90 ids twice.
-        // A search that re-featurized the pool on every refit would ask
-        // for 490 rows per round instead.
-        struct Counting {
-            calls: Vec<AtomicUsize>,
-        }
-        impl ParallelEvaluator for Counting {
-            fn features(&self, id: u128) -> Vec<f64> {
-                self.calls[id as usize].fetch_add(1, Ordering::Relaxed);
-                feats(id)
-            }
-            fn evaluate(&self, id: u128) -> f64 {
-                landscape(id)
-            }
-        }
         let pool: Vec<u128> = (0..500).collect();
         for parallel in [false, true] {
             let evaluator = Counting {
-                calls: counters(500),
+                features: counters(500),
+                evals: counters(500),
             };
             let res = if parallel {
                 surf_search_parallel(&pool, &evaluator, SurfParams::default())
@@ -769,14 +743,13 @@ mod tests {
             }
             .unwrap();
             assert_eq!((res.n_evals(), res.batches), (100, 10));
-            let calls: Vec<usize> = evaluator
-                .calls
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect();
-            assert_eq!(calls.iter().sum::<usize>(), 590, "parallel: {parallel}");
-            assert_eq!(calls.iter().filter(|&&c| c == 2).count(), 90);
-            assert!(calls.iter().all(|&c| c == 1 || c == 2));
+            let evals = loads(&evaluator.evals);
+            assert_eq!(evals.iter().sum::<usize>(), 100, "parallel: {parallel}");
+            assert!(evals.iter().all(|&c| c <= 1));
+            let features = loads(&evaluator.features);
+            assert_eq!(features.iter().sum::<usize>(), 590, "parallel: {parallel}");
+            assert_eq!(features.iter().filter(|&&c| c == 2).count(), 90);
+            assert!(features.iter().all(|&c| c == 1 || c == 2));
         }
     }
 
