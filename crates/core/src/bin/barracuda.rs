@@ -487,14 +487,16 @@ fn cmd_info(w: &Workload) {
         }
     }
     println!("joint space: {} configurations", tuner.total_space());
-    // Cross-statement common subexpressions (TCE-style CSE).
-    if w.statements.len() > 1 {
-        let chosen: Vec<(&octopi::Contraction, &octopi::Factorization)> = tuner
-            .statements
-            .iter()
-            .zip(&w.statements)
-            .map(|(st, c)| (c, &st.variants[0].factorization))
-            .collect();
+    // Cross-statement common subexpressions (TCE-style CSE), over each
+    // statement's best version; a statement with none leaves nothing to
+    // share.
+    let chosen: Option<Vec<(&octopi::Contraction, &octopi::Factorization)>> = tuner
+        .statements
+        .iter()
+        .zip(&w.statements)
+        .map(|(st, c)| Some((c, &st.variants.first()?.factorization)))
+        .collect();
+    if let Some(chosen) = chosen.filter(|c| c.len() > 1) {
         let cse = octopi::analyze_cse(&chosen, &w.dims);
         if cse.matches.is_empty() {
             println!("cross-statement CSE: none");

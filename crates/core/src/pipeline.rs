@@ -5,16 +5,18 @@
 //! statement's OCTOPI versions as TCR programs with their search spaces,
 //! see [`crate::stages::lower`]). It joins the per-statement spaces into a
 //! single flat configuration space (the cross product that reaches 512,000
-//! variants for Lg3t in the paper), runs SURF against the GPU simulator and
-//! returns a [`TunedWorkload`]: chosen version + configuration per
-//! statement, mapped kernels, CUDA source, timing breakdown, and search
-//! statistics including the modeled wall-clock search time the paper
-//! reports in Table II. Lowering is the expensive part of building one, so
-//! a [`crate::session::TuningSession`] keeps one per fingerprint and every
-//! tune and replay takes it already built.
+//! variants for Lg3t in the paper), runs SURF against the GPU simulator —
+//! once over that joint space, or once per statement's own space for
+//! decomposed tuning — and returns a [`TunedWorkload`]: chosen version +
+//! configuration per statement, mapped kernels, CUDA source, timing
+//! breakdown, and search statistics including the modeled wall-clock
+//! search time the paper reports in Table II. Lowering is the expensive
+//! part of building one, so a [`crate::session::TuningSession`] keeps one
+//! per fingerprint and every tune and replay takes it already built.
 
 use crate::cache::EvalCache;
 use crate::error::BarracudaError;
+use crate::stages::evaluate::salt_of;
 use crate::stages::frontend::workload_fingerprint;
 use crate::stages::{evaluate, lower, search, space};
 use crate::variant::StatementTuner;
@@ -26,23 +28,22 @@ use tcr::mapping::MappedKernel;
 pub use crate::stages::{SearchStats, TuneParams, TunedWorkload, TunerEvaluator};
 
 impl<'a> TunerEvaluator<'a> {
-    /// Facade constructor over [`TunerEvaluator::from_parts`], taking the
-    /// tuner and the autotuning parameters the way the search entry points
-    /// do.
+    /// An evaluator over the tuner's whole joint space, measured the way
+    /// [`WorkloadTuner::autotune`] measures it under `params`.
     pub fn new(
         tuner: &'a WorkloadTuner,
         arch: &'a GpuArch,
         cache: &'a EvalCache,
         params: &TuneParams,
     ) -> Self {
-        TunerEvaluator::from_parts(
+        TunerEvaluator::over(
             &tuner.workload,
             &tuner.statements,
+            0,
             arch,
             cache,
-            params.eval_noise,
-            params.noise_floor_us,
-            params.seed,
+            salt_of(&arch.name),
+            params.noise(0),
         )
     }
 }
@@ -149,7 +150,7 @@ impl WorkloadTuner {
         arch: &GpuArch,
         cache: &EvalCache,
     ) -> Result<f64, BarracudaError> {
-        evaluate::joint_gpu_seconds_memo(&self.workload, &self.statements, id, arch, cache)
+        evaluate::joint_gpu_seconds_memo(&self.workload, &self.statements, 0, id, arch, cache)
     }
 
     /// PCIe transfer time of the workload on `arch`.

@@ -1,14 +1,15 @@
 //! Stage 4 — evaluate: memoized simulated timing of configurations, plus
 //! the deterministic measurement noise the search observes.
 //!
-//! [`TunerEvaluator`] times *joint* configurations and the crate-private
-//! `StatementEvaluator` times one statement's *local* configurations
-//! (decomposed tuning); both implement [`surf::ParallelEvaluator`] over a
-//! shared [`EvalCache`] and both key their noise by configuration id, never
-//! by evaluation order — which is what keeps parallel runs bit-identical to
-//! serial ones. Under the whole-configuration time cache sits a per-op memo
-//! layer (`statement_time_memo`) keyed by `(statement, version, op,
-//! choice)`, shared between joint and decomposed tuning.
+//! [`TunerEvaluator`] times ids of a run of the workload's statements: all
+//! of them for joint tuning, one for each search of decomposed tuning. It
+//! implements [`surf::ParallelEvaluator`] over a shared [`EvalCache`] and
+//! keys its noise by configuration id, never by evaluation order — which
+//! is what keeps parallel runs bit-identical to serial ones. Under the
+//! whole-configuration time cache sits a per-op memo layer
+//! (`statement_time_memo`) keyed by `(statement, version, op, choice)` in
+//! the workload's statement numbering, so joint and decomposed tuning share
+//! each other's sub-results.
 
 use crate::cache::{EvalCache, OpOutcome};
 use crate::error::BarracudaError;
@@ -163,10 +164,13 @@ pub fn joint_gpu_seconds(
 /// configuration that re-combines already-seen per-op choices costs only
 /// cache hits instead of a full map + validate + simulate pass. Bitwise
 /// identical to the unmemoized path, including the error a faulting
-/// configuration produces.
+/// configuration produces. `statements` are the workload's statements from
+/// statement `first` on, and `id` is an id of their joint space; keys and
+/// errors use the workload's statement numbers.
 pub fn joint_gpu_seconds_memo(
     workload: &Workload,
     statements: &[StatementTuner],
+    first: usize,
     id: u128,
     arch: &GpuArch,
     cache: &EvalCache,
@@ -177,7 +181,7 @@ pub fn joint_gpu_seconds_memo(
     cache.hot().add_decode(t0.elapsed().as_nanos() as u64);
     let mut choices: Vec<usize> = Vec::new();
     let mut total = 0.0;
-    for (k, (s, &local)) in statements.iter().zip(&locals).enumerate() {
+    for (k, (s, &local)) in (first..).zip(statements.iter().zip(&locals)) {
         let t0 = Instant::now();
         let (v, local_cfg) = s.decode_raw(local);
         s.variants[v].space.choices_into(local_cfg, &mut choices);
@@ -261,52 +265,53 @@ fn checked_time(
     Ok(t)
 }
 
-/// Thread-safe joint-configuration evaluator: memoized simulated times
-/// from a shared [`EvalCache`], features straight from the lowering, plus
-/// the deterministic measurement noise SURF observes. Implements
-/// [`surf::ParallelEvaluator`], so one instance serves both the serial and
-/// the parallel search — noise is keyed by configuration id, never by
-/// evaluation order, which is what keeps parallel runs bit-identical to
-/// serial ones.
+/// Thread-safe evaluator over a run of the workload's statements — all of
+/// them (joint tuning) or one (a search of decomposed tuning): memoized
+/// simulated times from a shared [`EvalCache`], features straight from the
+/// lowering, plus the deterministic measurement noise SURF observes.
+/// Implements [`surf::ParallelEvaluator`], so one instance serves both the
+/// serial and the parallel search — noise is keyed by configuration id,
+/// never by evaluation order, which is what keeps parallel runs
+/// bit-identical to serial ones.
 pub struct TunerEvaluator<'a> {
     workload: &'a Workload,
+    /// The timed statements: the workload's statements from `first` on.
     statements: &'a [StatementTuner],
+    first: usize,
     arch: &'a GpuArch,
     cache: &'a EvalCache,
+    /// Time-cache salt, so several runs of statements share one cache.
     salt: u64,
     noise: Noise,
 }
 
 impl<'a> TunerEvaluator<'a> {
-    /// Builds an evaluator over explicit stage artifacts. The facade's
-    /// `TunerEvaluator::new` (in `crate::pipeline`) wraps this with a
-    /// `WorkloadTuner` + `TuneParams` signature.
-    pub fn from_parts(
+    /// Times ids of the joint space of `statements`, the workload's
+    /// statements from statement `first` on, with its times memoized under
+    /// `salt` and measured under `noise`.
+    pub(crate) fn over(
         workload: &'a Workload,
         statements: &'a [StatementTuner],
+        first: usize,
         arch: &'a GpuArch,
         cache: &'a EvalCache,
-        eval_noise: f64,
-        noise_floor_us: f64,
-        noise_seed: u64,
+        salt: u64,
+        noise: Noise,
     ) -> Self {
         TunerEvaluator {
             workload,
             statements,
+            first,
             arch,
             cache,
-            salt: salt_of(&arch.name),
-            noise: Noise {
-                rel: eval_noise,
-                floor_us: noise_floor_us,
-                seed: noise_seed,
-            },
+            salt,
+            noise,
         }
     }
 
-    /// Noiseless memoized simulated time of a joint configuration; `NaN`
-    /// when the configuration fails to map or simulate (the NaN is cached,
-    /// so a failing configuration is never re-simulated).
+    /// Noiseless memoized simulated time of a configuration; `NaN` when
+    /// the configuration fails to map or simulate (the NaN is cached, so a
+    /// failing configuration is never re-simulated).
     pub fn time(&self, id: u128) -> f64 {
         self.try_time(id).unwrap_or(f64::NAN)
     }
@@ -315,9 +320,22 @@ impl<'a> TunerEvaluator<'a> {
     /// `checked_time` for the memoization of failures).
     pub fn try_time(&self, id: u128) -> Result<f64, EvalFault> {
         checked_time(self.cache, self.salt, id, || {
-            joint_gpu_seconds_memo(self.workload, self.statements, id, self.arch, self.cache)
-                .map_err(|e| EvalFault::new(e.stage(), e.to_string()))
+            joint_gpu_seconds_memo(
+                self.workload,
+                self.statements,
+                self.first,
+                id,
+                self.arch,
+                self.cache,
+            )
+            .map_err(|e| EvalFault::new(e.stage(), e.to_string()))
         })
+    }
+
+    /// The time the search measures for `id` when its noiseless time is
+    /// `t`.
+    pub(crate) fn measured(&self, id: u128, t: f64) -> f64 {
+        self.noise.apply(id, t)
     }
 }
 
@@ -331,7 +349,7 @@ impl ParallelEvaluator for TunerEvaluator<'_> {
     }
 
     fn try_evaluate(&self, id: u128) -> Result<f64, EvalFault> {
-        self.try_time(id).map(|t| self.noise.apply(id, t))
+        self.try_time(id).map(|t| self.measured(id, t))
     }
 }
 
@@ -374,76 +392,10 @@ impl<E: ParallelEvaluator, M: Fn(u128) -> (u64, u64) + Sync> ParallelEvaluator
     }
 }
 
-/// Statement-local analog of [`TunerEvaluator`] for decomposed tuning: ids
-/// are local to one statement's space, salted so several statements share
-/// one cache without key collisions.
-pub(crate) struct StatementEvaluator<'a> {
-    pub(crate) st: &'a StatementTuner,
-    /// Statement index in the workload — keys the per-op memo layer with
-    /// the same `(statement, version, op, choice)` keys joint tuning uses,
-    /// so the two paths share sub-results.
-    pub(crate) stmt: usize,
-    pub(crate) accumulate: bool,
-    pub(crate) arch: &'a GpuArch,
-    pub(crate) cache: &'a EvalCache,
-    pub(crate) salt: u64,
-    /// Per-op memo salt (per-architecture, shared with joint tuning).
-    pub(crate) op_salt: u64,
-    pub(crate) noise: Noise,
-}
-
-impl StatementEvaluator<'_> {
-    pub(crate) fn time(&self, local: u128) -> f64 {
-        self.try_time(local).unwrap_or(f64::NAN)
-    }
-
-    /// Statement-local analog of [`TunerEvaluator::try_time`], built on
-    /// the shared per-op memo layer.
-    fn try_time(&self, local: u128) -> Result<f64, EvalFault> {
-        checked_time(self.cache, self.salt, local, || {
-            let t0 = Instant::now();
-            let (v, local_cfg) = self.st.decode_raw(local);
-            let mut choices = Vec::new();
-            self.st.variants[v]
-                .space
-                .choices_into(local_cfg, &mut choices);
-            self.cache.hot().add_decode(t0.elapsed().as_nanos() as u64);
-            statement_time_memo(
-                self.st,
-                self.stmt,
-                v,
-                &choices,
-                self.accumulate,
-                self.arch,
-                self.cache,
-                self.op_salt,
-            )
-            .map_err(|fault| match fault {
-                StatementFault::Mapping { detail, .. } => EvalFault::new("mapping", detail),
-                StatementFault::Simulation { detail } => EvalFault::new("simulation", detail),
-            })
-        })
-    }
-}
-
-impl ParallelEvaluator for StatementEvaluator<'_> {
-    fn features(&self, local: u128) -> Vec<f64> {
-        self.st.features(local)
-    }
-
-    fn evaluate(&self, local: u128) -> f64 {
-        self.try_evaluate(local).unwrap_or(f64::NAN)
-    }
-
-    fn try_evaluate(&self, local: u128) -> Result<f64, EvalFault> {
-        self.try_time(local).map(|t| self.noise.apply(local, t))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::WorkloadTuner;
+    use crate::pipeline::{TuneParams, WorkloadTuner};
     use tensor::index::uniform_dims;
 
     fn mm(n: usize) -> Workload {
@@ -457,13 +409,13 @@ mod tests {
 
     #[test]
     fn evaluator_builds_from_the_lowering_alone() {
-        // No TuneParams: the evaluate stage works from the workload and
-        // its lowered statements directly.
+        // No search: the evaluate stage works from the workload and its
+        // lowered statements directly.
         let w = mm(8);
         let lowered = WorkloadTuner::build(&w);
         let arch = gpusim::gtx980();
         let cache = EvalCache::new();
-        let ev = TunerEvaluator::from_parts(&w, &lowered.statements, &arch, &cache, 0.0, 0.0, 1);
+        let ev = TunerEvaluator::new(&lowered, &arch, &cache, &TuneParams::quick());
         let t = ev.try_time(0).unwrap();
         assert!(t.is_finite() && t > 0.0);
         // Memoized and bit-identical to the unmemoized path.
@@ -482,7 +434,13 @@ mod tests {
         let lowered = WorkloadTuner::build(&w);
         let arch = gpusim::gtx980();
         let cache = EvalCache::new();
-        let ev = TunerEvaluator::from_parts(&w, &lowered.statements, &arch, &cache, 0.05, 2.0, 9);
+        let params = TuneParams {
+            eval_noise: 0.05,
+            noise_floor_us: 2.0,
+            seed: 9,
+            ..TuneParams::quick()
+        };
+        let ev = TunerEvaluator::new(&lowered, &arch, &cache, &params);
         let a = ev.evaluate(3);
         let _ = ev.evaluate(1);
         let b = ev.evaluate(3);

@@ -6,8 +6,9 @@
 //! mixed-radix product of the per-statement spaces; the free functions here
 //! ([`total_space`], [`decode_joint`], [`encode_joint`], [`joint_features`],
 //! [`joint_flops`], [`map_joint`]) operate on any `&[StatementTuner]` slice
-//! so the tuner, the evaluators and the search stage all share one
-//! implementation.
+//! so the tuner, the evaluator and the search stage all share one
+//! implementation, and a slice of one statement addresses that statement's
+//! own space (decomposed tuning).
 
 use crate::error::BarracudaError;
 use crate::quarantine::QuarantineReport;

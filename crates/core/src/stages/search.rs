@@ -2,25 +2,26 @@
 //! and the [`TunedWorkload`] result artifact.
 //!
 //! [`autotune_joint`] searches the whole joint space at once (the paper's
-//! framing); [`autotune_decomposed`] searches each statement independently
-//! (the objective is a sum over statements, so the optimum factors). Both
-//! operate purely on stage artifacts — a [`Workload`] plus its lowered
-//! `&[StatementTuner]` — and a shared [`EvalCache`].
+//! framing); [`autotune_decomposed`] runs that same search once per
+//! statement, over the statement's own space (a workload's time is the sum
+//! of its statements' times, so the optimum factors). Either way one search
+//! draws a pool, prunes it to the memory budget, runs SURF against a
+//! [`TunerEvaluator`] and picks noiselessly; the searches of one tune share
+//! its attempt budget, deadline and statistics. Both operate purely on
+//! stage artifacts — a [`Workload`] plus its lowered `&[StatementTuner]` —
+//! and a shared [`EvalCache`].
 
 use crate::cache::{EvalCache, HotPathSnapshot};
 use crate::error::BarracudaError;
 use crate::objective::{BudgetMode, Objective};
 use crate::quarantine::QuarantineReport;
-use crate::stages::evaluate::{
-    salt_of, Noise, ObjectiveEvaluator, StatementEvaluator, TunerEvaluator,
-};
+use crate::stages::evaluate::{salt_of, Noise, ObjectiveEvaluator, TunerEvaluator};
 use crate::stages::{evaluate, lower, space};
 use crate::variant::StatementTuner;
 use crate::workload::Workload;
 use gpusim::GpuArch;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::time::Instant;
 use surf::{
     surf_search_parallel, surf_search_serial, FaultPlan, FaultyEvaluator, ForestParams,
     ParallelEvaluator, SearchStatus, SurfParams, SurfResult,
@@ -184,6 +185,16 @@ impl TuneParams {
         sp.min_survivor_fraction = sp.min_survivor_fraction.max(self.min_survivor_fraction);
         sp
     }
+
+    /// The measurement noise of a search over the statements from `first`
+    /// on, seeded `seed ^ first`.
+    pub(crate) fn noise(&self, first: usize) -> Noise {
+        Noise {
+            rel: self.eval_noise,
+            floor_us: self.noise_floor_us,
+            seed: self.seed ^ first as u64,
+        }
+    }
 }
 
 /// Search bookkeeping of one autotuning run.
@@ -191,10 +202,15 @@ impl TuneParams {
 pub struct SearchStats {
     pub n_evals: usize,
     pub batches: usize,
-    /// Simulated execution time of every evaluated variant.
+    /// The measured time of every surviving evaluation, in evaluation
+    /// order: the simulated time with the search's measurement noise, as
+    /// SURF saw it before the objective scored it. Decomposed tuning
+    /// concatenates its statements' searches.
     pub evaluated_times: Vec<f64>,
     /// Size of the full configuration space (before pool sampling).
     pub space_size: u128,
+    /// Candidates SURF searched over, after pool sampling and the memory
+    /// prune, summed over the statements' searches when decomposed.
     pub pool_size: usize,
     /// Wall-clock seconds spent inside the SURF search.
     pub wall_s: f64,
@@ -205,12 +221,14 @@ pub struct SearchStats {
     /// Configurations quarantined during the search (mapping/simulation
     /// failures, non-finite times, injected faults).
     pub quarantined_configs: usize,
-    /// Per-op outcome cache hits during this run — the memo layer under the
-    /// whole-configuration cache, keyed by `(statement, version, op,
-    /// choice)` so distinct joint configurations share sub-results.
+    /// Per-op outcome cache hits during the searches — the memo layer
+    /// under the whole-configuration cache, keyed by `(statement, version,
+    /// op, choice)` so distinct joint configurations share sub-results.
+    /// Like the time counters, it counts the searches' own traffic, not the
+    /// pick's re-reads.
     pub per_op_hits: usize,
     pub per_op_misses: usize,
-    /// Whole-configuration time cache hits/misses during this run.
+    /// Whole-configuration time cache hits/misses during the searches.
     pub time_hits: usize,
     pub time_misses: usize,
     /// Duplicate candidate ids pruned from the pool before the search (0
@@ -315,18 +333,20 @@ fn run_surf<E: ParallelEvaluator>(
 /// is never selected, in either budget mode; the finite filter keeps even
 /// a stray NaN from poisoning the pick; ties keep the earlier candidate,
 /// matching `min_by`. Returns the pick (`None` when nothing qualifies) and
-/// every looked-up time in evaluation order.
+/// what the search measured for every candidate, in evaluation order,
+/// before the objective scored it — recomputed from the looked-up time, so
+/// the memo counters see no extra read.
 fn noiseless_pick(
     evaluated: &[(u128, f64)],
     objective: &Objective,
-    time: impl Fn(u128) -> f64,
+    evaluator: &TunerEvaluator,
     memory: impl Fn(u128) -> (u64, u64),
 ) -> (Option<u128>, Vec<f64>) {
     let mut best: Option<(u128, f64)> = None;
     let mut times = Vec::with_capacity(evaluated.len());
     for &(cand, _) in evaluated {
-        let t = time(cand);
-        times.push(t);
+        let t = evaluator.time(cand);
+        times.push(evaluator.measured(cand, t));
         let s = if objective.is_time_only() {
             t
         } else {
@@ -343,22 +363,8 @@ fn noiseless_pick(
     (best.map(|(id, _)| id), times)
 }
 
-/// Distinct `(statement, version)` pairs whose modeled peak exceeds the
-/// objective's memory budget (0 without a budget). The joint peak is the
-/// max over statements, so a version over budget in isolation is over
-/// budget in any joint configuration.
-fn versions_over_budget(objective: &Objective, mem_table: &[Vec<(u64, u64)>]) -> usize {
-    objective.mem_budget.map_or(0, |budget| {
-        mem_table
-            .iter()
-            .flatten()
-            .filter(|&&(peak, _)| peak > budget)
-            .count()
-    })
-}
-
-/// Memo-cache counters of an [`EvalCache`], read at the start of a run so
-/// its statistics report only the traffic the run caused.
+/// Memo-cache counters of an [`EvalCache`], read at the start of a search
+/// so its statistics report only the traffic the search caused.
 struct CacheCounters {
     time: (usize, usize),
     op: (usize, usize),
@@ -374,44 +380,147 @@ impl CacheCounters {
         }
     }
 
-    /// Records into `stats` the hits, misses and hot-path times `cache`
-    /// has seen since `self` was read. SURF's own prediction time, which
-    /// the cache does not see, is kept.
-    fn record_since(&self, cache: &EvalCache, stats: &mut SearchStats) {
+    /// Adds to `stats` the hits, misses and decode, map and simulate times
+    /// `cache` has seen since `self` was read.
+    fn add_since(&self, cache: &EvalCache, stats: &mut SearchStats) {
         let now = CacheCounters::read(cache);
-        (stats.time_hits, stats.time_misses) = (now.time.0 - self.time.0, now.time.1 - self.time.1);
-        (stats.per_op_hits, stats.per_op_misses) = (now.op.0 - self.op.0, now.op.1 - self.op.1);
-        stats.hot = HotPathSnapshot {
-            predict_ns: stats.hot.predict_ns,
-            ..now.hot.delta(&self.hot)
-        };
+        stats.time_hits += now.time.0 - self.time.0;
+        stats.time_misses += now.time.1 - self.time.1;
+        stats.per_op_hits += now.op.0 - self.op.0;
+        stats.per_op_misses += now.op.1 - self.op.1;
+        let hot = now.hot.delta(&self.hot);
+        stats.hot.decode_ns += hot.decode_ns;
+        stats.hot.map_ns += hot.map_ns;
+        stats.hot.sim_ns += hot.sim_ns;
     }
 }
 
-/// What the SURF runs of one tune add up to — one run for joint tuning,
-/// one per statement for decomposed tuning.
-struct SearchRun {
+/// One tune: the stage artifacts it searches and what its SURF searches
+/// add up to — one search over every statement for joint tuning, one per
+/// statement for decomposed tuning.
+struct SearchRun<'a> {
+    workload: &'a Workload,
+    statements: &'a [StatementTuner],
+    arch: &'a GpuArch,
+    params: TuneParams,
+    cache: &'a EvalCache,
+    /// [`lower::version_memory_table`] of `statements`.
+    mem_table: Vec<Vec<(u64, u64)>>,
+    /// Searches run so far, and the attempts (survivors and quarantined)
+    /// they spent of the shared budget.
+    searches: usize,
+    attempted: usize,
     stats: SearchStats,
     status: SearchStatus,
     quarantine: QuarantineReport,
 }
 
-impl SearchRun {
-    fn new(statements: &[StatementTuner], versions_over_budget: usize) -> Self {
-        SearchRun {
+impl<'a> SearchRun<'a> {
+    /// A tune of `statements` that has not searched yet. A statement whose
+    /// every version was quarantined leaves nothing to search: a typed
+    /// error naming it.
+    fn new(
+        workload: &'a Workload,
+        statements: &'a [StatementTuner],
+        arch: &'a GpuArch,
+        params: TuneParams,
+        cache: &'a EvalCache,
+    ) -> Result<Self, BarracudaError> {
+        if let Some(k) = statements.iter().position(|s| s.variants.is_empty()) {
+            let first = statements[k].quarantined_versions.first();
+            return Err(BarracudaError::Validation {
+                workload: workload.name.clone(),
+                statement: Some(k),
+                detail: first.map_or("no OCTOPI version".to_string(), |(v, reason)| {
+                    format!("every OCTOPI version is quarantined (version {v}: {reason})")
+                }),
+            });
+        }
+        let mem_table = lower::version_memory_table(statements);
+        let over_budget = |budget| mem_table.iter().flatten().filter(|v| v.0 > budget).count();
+        Ok(SearchRun {
             stats: SearchStats {
                 threads: 1,
-                versions_over_budget,
+                versions_over_budget: params.objective.mem_budget.map_or(0, over_budget),
                 ..SearchStats::default()
             },
             status: SearchStatus::Complete,
             quarantine: lower::build_quarantine(statements),
+            searches: 0,
+            attempted: 0,
+            workload,
+            statements,
+            arch,
+            params,
+            cache,
+            mem_table,
+        })
+    }
+
+    fn error(&self, detail: String) -> BarracudaError {
+        BarracudaError::Search {
+            workload: self.workload.name.clone(),
+            detail,
         }
     }
 
-    /// Folds one SURF result in; its quarantined configurations are
-    /// recorded against `statement` (`None`: a joint id).
-    fn add(&mut self, result: &SurfResult, statement: Option<usize>) {
+    /// One SURF search over the joint space of every statement
+    /// (`statement` is `None`) or over statement `k`'s own space
+    /// (`Some(k)`), returning its pick, an id of that space. The search
+    /// draws its pool and noise from `seed ^ first` (its first statement),
+    /// keeps its times apart in the cache under its own salt, and spends
+    /// what the earlier searches left of the attempt budget and deadline.
+    /// Its errors, degradation and quarantined configurations name the
+    /// statement `k`.
+    fn search(&mut self, statement: Option<usize>) -> Result<u128, BarracudaError> {
+        let (params, objective) = (self.params, self.params.objective);
+        let range = statement.map_or(0..self.statements.len(), |k| k..k + 1);
+        let label = statement.map_or(String::new(), |k| format!("statement {k}: "));
+        let statements = &self.statements[range.clone()];
+        let mem_table = &self.mem_table[range.clone()];
+        let memory = |id: u128| lower::joint_memory_from_table(statements, mem_table, id);
+        let mut pool = space::joint_pool(
+            statements,
+            params.pool_cap,
+            params.seed ^ range.start as u64,
+        );
+        if let (Some(budget), BudgetMode::Prune) = (objective.mem_budget, objective.budget_mode) {
+            let before = pool.len();
+            pool.retain(|&id| memory(id).0 <= budget);
+            self.stats.pruned_by_memory += before - pool.len();
+            if pool.is_empty() {
+                return Err(self.error(format!(
+                    "{label}memory budget {budget} B excludes every candidate ({} over-budget \
+                     versions, {} configurations pruned) — raise the budget or use penalize mode",
+                    self.stats.versions_over_budget, self.stats.pruned_by_memory
+                )));
+            }
+        }
+        self.stats.pool_size += pool.len();
+        let salt = salt_of(&self.arch.name) ^ statement.map_or(0, |k| k as u64 + 1);
+        let noise = params.noise(range.start);
+        let evaluator = TunerEvaluator::over(
+            self.workload,
+            statements,
+            range.start,
+            self.arch,
+            self.cache,
+            salt,
+            noise,
+        );
+        let mut sp = params.effective_surf();
+        if let Some(cap) = params.max_evaluations {
+            sp.max_evals = sp.max_evals.min(cap.saturating_sub(self.attempted).max(1));
+        }
+        if let Some(deadline) = params.wall_deadline_s {
+            sp.wall_deadline_s = Some(deadline - self.stats.wall_s);
+        }
+        let start = CacheCounters::read(self.cache);
+        let result = run_surf(&pool, &evaluator, memory, &params, sp)
+            .map_err(|e| self.error(format!("{label}{e}")))?;
+        // Counted before the pick: the statistics report the search's own
+        // cache traffic.
+        start.add_since(self.cache, &mut self.stats);
         let s = &mut self.stats;
         s.n_evals += result.n_evals();
         s.batches += result.batches;
@@ -423,20 +532,49 @@ impl SearchRun {
             self.quarantine
                 .record_config(statement, *cid, reason.clone());
         }
+        if let (SearchStatus::Complete, SearchStatus::Degraded { reason }) =
+            (&self.status, &result.status)
+        {
+            self.status = SearchStatus::Degraded {
+                reason: format!("{label}{reason}"),
+            };
+        }
+        self.searches += 1;
+        self.attempted += result.n_attempted();
+        let (best, times) = noiseless_pick(&result.evaluated, &objective, &evaluator, memory);
+        self.stats.evaluated_times.extend(times);
+        match (best, objective.mem_budget) {
+            (Some(id), _) => Ok(id),
+            // Penalize mode lets over-budget candidates into the pool (their
+            // evaluations still train the surrogate), but the pick must
+            // never exceed the budget.
+            (None, Some(budget)) => Err(self.error(format!(
+                "{label}every surviving candidate exceeds the memory budget {budget} B ({} \
+                 over-budget versions)",
+                self.stats.versions_over_budget
+            ))),
+            (None, None) => Ok(result.best_id),
+        }
     }
 
     /// The result artifact for the picked joint configuration `id`: its
     /// per-statement choices, mapped kernels, noiseless model time and
-    /// modeled memory, plus this run's statistics.
-    fn finish(
-        mut self,
-        workload: &Workload,
-        statements: &[StatementTuner],
-        arch: &GpuArch,
-        mem_table: &[Vec<(u64, u64)>],
-        objective: Objective,
-        id: u128,
-    ) -> Result<TunedWorkload, BarracudaError> {
+    /// modeled memory, plus the searches' statistics. An attempt cap that
+    /// truncated the searches is an explicit degradation, not a silent
+    /// completion.
+    fn finish(mut self, id: u128) -> Result<TunedWorkload, BarracudaError> {
+        let (workload, statements, arch) = (self.workload, self.statements, self.arch);
+        if let Some(cap) = self.params.max_evaluations {
+            let full = self.searches.saturating_mul(self.params.surf.max_evals);
+            if !self.status.is_degraded() && cap < full && self.attempted >= cap {
+                self.status = SearchStatus::Degraded {
+                    reason: format!(
+                        "evaluation budget exhausted after {} attempts (cap {cap})",
+                        self.attempted
+                    ),
+                };
+            }
+        }
         let locals = lower::decode_joint(statements, id);
         let mut choices = Vec::new();
         let mut programs = Vec::new();
@@ -452,7 +590,8 @@ impl SearchRun {
         s.space_size = lower::total_space(statements);
         s.quarantined_versions = self.quarantine.versions();
         s.quarantined_configs = self.quarantine.configs();
-        (s.peak_temp_bytes, s.rw_bytes) = lower::joint_memory_from_table(statements, mem_table, id);
+        (s.peak_temp_bytes, s.rw_bytes) =
+            lower::joint_memory_from_table(statements, &self.mem_table, id);
         Ok(TunedWorkload {
             name: workload.name.clone(),
             arch_name: arch.name.to_string(),
@@ -464,7 +603,7 @@ impl SearchRun {
             transfer_seconds: evaluate::transfer_seconds(workload, arch),
             flops: lower::joint_flops(statements, id),
             search: self.stats,
-            objective,
+            objective: self.params.objective,
             status: self.status,
             quarantine: self.quarantine,
         })
@@ -626,7 +765,8 @@ pub(crate) fn execute_chain(
 /// Configurations that fail to map/simulate (or are failed by
 /// [`TuneParams::fault_injection`]) are quarantined, not fatal: the search
 /// continues over survivors and the report travels on the result. The only
-/// hard errors are an empty pool and a search with no survivors at all.
+/// hard errors are a statement with no surviving version, an empty pool
+/// and a search with no survivors at all.
 pub fn autotune_joint(
     workload: &Workload,
     statements: &[StatementTuner],
@@ -634,101 +774,23 @@ pub fn autotune_joint(
     params: TuneParams,
     cache: &EvalCache,
 ) -> Result<TunedWorkload, BarracudaError> {
-    let objective = params.objective;
-    let mem_table = lower::version_memory_table(statements);
-    let memory = |id: u128| lower::joint_memory_from_table(statements, &mem_table, id);
-    let mut run = SearchRun::new(statements, versions_over_budget(&objective, &mem_table));
-    let mut pool = space::joint_pool(statements, params.pool_cap, params.seed);
-    if let Some(budget) = objective.mem_budget {
-        if objective.budget_mode == BudgetMode::Prune {
-            let before = pool.len();
-            pool.retain(|&id| memory(id).0 <= budget);
-            run.stats.pruned_by_memory = before - pool.len();
-            if pool.is_empty() {
-                return Err(BarracudaError::Search {
-                    workload: workload.name.clone(),
-                    detail: format!(
-                        "memory budget {budget} B excludes every candidate \
-                         ({} over-budget versions, {} configurations pruned) — raise the \
-                         budget or use penalize mode",
-                        run.stats.versions_over_budget, run.stats.pruned_by_memory
-                    ),
-                });
-            }
-        }
-    }
-    let evaluator = TunerEvaluator::from_parts(
-        workload,
-        statements,
-        arch,
-        cache,
-        params.eval_noise,
-        params.noise_floor_us,
-        params.seed,
-    );
-    let start = CacheCounters::read(cache);
-    let result =
-        run_surf(&pool, &evaluator, memory, &params, params.effective_surf()).map_err(|e| {
-            BarracudaError::Search {
-                workload: workload.name.clone(),
-                detail: e.to_string(),
-            }
-        })?;
-    // Counted before the pick: the joint path reports the search's own
-    // cache traffic.
-    start.record_since(cache, &mut run.stats);
-    run.add(&result, None);
-    run.stats.pool_size = pool.len();
-    run.stats.evaluated_times = result.evaluated.iter().map(|(_, t)| *t).collect();
-    run.status = result.status.clone();
-    // An external attempt cap that actually truncated the search is an
-    // explicit degradation, not a silent completion.
-    if let Some(cap) = params.max_evaluations {
-        if !run.status.is_degraded() && cap < params.surf.max_evals && result.n_attempted() >= cap {
-            run.status = SearchStatus::Degraded {
-                reason: format!(
-                    "evaluation budget exhausted after {} attempts (cap {cap})",
-                    result.n_attempted()
-                ),
-            };
-        }
-    }
-    let (best, _) = noiseless_pick(
-        &result.evaluated,
-        &objective,
-        |id| evaluator.time(id),
-        memory,
-    );
-    if best.is_none() && objective.mem_budget.is_some() {
-        // Penalize mode lets over-budget candidates into the pool (their
-        // evaluations still train the surrogate), but the pick must never
-        // exceed the budget.
-        return Err(BarracudaError::Search {
-            workload: workload.name.clone(),
-            detail: format!(
-                "every surviving candidate exceeds the memory budget {} B \
-                 ({} over-budget versions)",
-                objective.mem_budget.unwrap_or(0),
-                run.stats.versions_over_budget
-            ),
-        });
-    }
-    let id = best.unwrap_or(result.best_id);
-    run.finish(workload, statements, arch, &mem_table, objective, id)
+    let mut run = SearchRun::new(workload, statements, arch, params, cache)?;
+    let id = run.search(None)?;
+    run.finish(id)
 }
 
-/// Decomposed tuning: each statement is searched *independently* (the
-/// joint objective is a sum over statements, so the joint optimum factors —
-/// an observation the paper's joint 512,000-variant framing leaves on the
-/// table). Costs the sum of the per-statement budgets instead of one budget
-/// over the product space. Statements salt the cache's keyspace
-/// individually, so repeated or interleaved runs reuse each other's
-/// simulations.
+/// Decomposed tuning: the joint search run once per statement, over that
+/// statement's own space. A workload's time is the sum of its statements'
+/// times, so the joint optimum factors — an observation the paper's joint
+/// 512,000-variant framing leaves on the table — and the cost is the sum of
+/// the per-statement budgets instead of one budget over the product space.
+/// Statements salt the cache's keyspace individually, so repeated or
+/// interleaved runs reuse each other's simulations.
 ///
 /// [`TuneParams::max_evaluations`] and [`TuneParams::wall_deadline_s`] are
 /// *shared* budgets: each statement's search gets what the previous
-/// statements left over, and exhaustion degrades the run rather than
-/// failing it.
+/// statements' searches left over, and exhaustion degrades the run rather
+/// than failing it.
 pub fn autotune_decomposed(
     workload: &Workload,
     statements: &[StatementTuner],
@@ -736,114 +798,9 @@ pub fn autotune_decomposed(
     params: TuneParams,
     cache: &EvalCache,
 ) -> Result<TunedWorkload, BarracudaError> {
-    let objective = params.objective;
-    let mem_table = lower::version_memory_table(statements);
-    let mut run = SearchRun::new(statements, versions_over_budget(&objective, &mem_table));
-    let mut locals: Vec<u128> = Vec::with_capacity(statements.len());
-    let mut remaining = params.max_evaluations;
-    let mut attempted_total = 0usize;
-    let start_time = Instant::now();
-    let start = CacheCounters::read(cache);
-    for (k, st) in statements.iter().enumerate() {
-        // Pool over this statement's own space.
-        let mut pool = space::statement_pool(st, params.pool_cap, params.seed ^ k as u64);
-        // Per-statement memory model. The joint peak is the max over
-        // statements, so pruning one statement's over-budget versions is
-        // exactly the joint-space prune restricted to this axis.
-        let st_memory = |local: u128| {
-            let (v, _) = st.decode_raw(local);
-            mem_table[k][v]
-        };
-        if let Some(budget) = objective.mem_budget {
-            if objective.budget_mode == BudgetMode::Prune {
-                let before = pool.len();
-                pool.retain(|&local| st_memory(local).0 <= budget);
-                run.stats.pruned_by_memory += before - pool.len();
-                if pool.is_empty() {
-                    return Err(BarracudaError::Search {
-                        workload: workload.name.clone(),
-                        detail: format!(
-                            "statement {k}: memory budget {budget} B excludes every \
-                             candidate ({} over-budget versions) — raise the budget or use \
-                             penalize mode",
-                            run.stats.versions_over_budget
-                        ),
-                    });
-                }
-            }
-        }
-        let evaluator = StatementEvaluator {
-            st,
-            stmt: k,
-            accumulate: workload.statements[k].accumulate,
-            arch,
-            cache,
-            salt: salt_of(&arch.name) ^ (k as u64 + 1),
-            op_salt: salt_of(&arch.name),
-            noise: Noise {
-                rel: params.eval_noise,
-                floor_us: params.noise_floor_us,
-                seed: params.seed ^ k as u64,
-            },
-        };
-        // This statement's share of the run-wide budget/deadline.
-        let mut sp = params.effective_surf();
-        if let Some(rem) = remaining {
-            sp.max_evals = sp.max_evals.min(rem.max(1));
-        }
-        if let Some(d) = params.wall_deadline_s {
-            sp.wall_deadline_s = Some((d - start_time.elapsed().as_secs_f64()).max(0.0));
-        }
-        let result = run_surf(&pool, &evaluator, st_memory, &params, sp).map_err(|e| {
-            BarracudaError::Search {
-                workload: workload.name.clone(),
-                detail: format!("statement {k}: {e}"),
-            }
-        })?;
-        if let Some(rem) = remaining.as_mut() {
-            *rem = rem.saturating_sub(result.n_attempted());
-        }
-        attempted_total += result.n_attempted();
-        if let (SearchStatus::Complete, SearchStatus::Degraded { reason }) =
-            (&run.status, &result.status)
-        {
-            run.status = SearchStatus::Degraded {
-                reason: format!("statement {k}: {reason}"),
-            };
-        }
-        run.add(&result, Some(k));
-        // The decomposed path records the noiseless times of the pick.
-        let (best, times) = noiseless_pick(
-            &result.evaluated,
-            &objective,
-            |local| evaluator.time(local),
-            st_memory,
-        );
-        run.stats.evaluated_times.extend(times);
-        if best.is_none() && objective.mem_budget.is_some() {
-            return Err(BarracudaError::Search {
-                workload: workload.name.clone(),
-                detail: format!(
-                    "statement {k}: every surviving candidate exceeds the memory \
-                     budget {} B ({} over-budget versions)",
-                    objective.mem_budget.unwrap_or(0),
-                    run.stats.versions_over_budget
-                ),
-            });
-        }
-        locals.push(best.unwrap_or(result.best_id));
-    }
-    start.record_since(cache, &mut run.stats);
-    // The shared attempt budget ran dry: an explicit degradation.
-    if let Some(cap) = params.max_evaluations {
-        if !run.status.is_degraded() && attempted_total >= cap {
-            run.status = SearchStatus::Degraded {
-                reason: format!(
-                    "shared evaluation budget exhausted after {attempted_total} attempts (cap {cap})"
-                ),
-            };
-        }
-    }
-    let id = lower::encode_joint(statements, &locals);
-    run.finish(workload, statements, arch, &mem_table, objective, id)
+    let mut run = SearchRun::new(workload, statements, arch, params, cache)?;
+    let locals = (0..statements.len())
+        .map(|k| run.search(Some(k)))
+        .collect::<Result<Vec<_>, _>>()?;
+    run.finish(lower::encode_joint(statements, &locals))
 }

@@ -1,6 +1,8 @@
 //! Stage 3 — space: candidate pools over the joint configuration space.
 //!
-//! A pool is the (possibly sampled) list of joint ids SURF searches over.
+//! A pool is the (possibly sampled) list of joint ids SURF searches over:
+//! ids of every statement's joint space, or of one statement's own space
+//! when the slice holds that statement alone (decomposed tuning).
 //! Sampling is deterministic and *stratified*: the OCTOPI version of every
 //! statement is drawn uniformly, then a configuration within it — plain
 //! uniform id sampling would weight versions by their space size and all
@@ -31,23 +33,6 @@ pub fn joint_pool(statements: &[StatementTuner], cap: usize, seed: u64) -> Vec<u
             id = id * st.total() + st.draw(v, &mut rng);
         }
         set.insert(id);
-    }
-    set.into_iter().collect()
-}
-
-/// Pool over one statement's own space (decomposed tuning): the full space
-/// when it fits under `cap`, else a stratified sample of local ids.
-pub fn statement_pool(st: &StatementTuner, cap: usize, seed: u64) -> Vec<u128> {
-    let total = st.total();
-    let cap = cap as u128;
-    if total <= cap {
-        return (0..total).collect();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut set = std::collections::BTreeSet::new();
-    while (set.len() as u128) < cap {
-        let v = rng.gen_range(0..st.variants.len());
-        set.insert(st.draw(v, &mut rng));
     }
     set.into_iter().collect()
 }
@@ -94,13 +79,17 @@ mod tests {
 
     #[test]
     fn large_spaces_sample_distinct_ids_in_range() {
+        // eqn1 has one statement: the one-statement slice decomposed
+        // tuning draws each statement's pool over.
         let lowered = lowered_eqn1(10);
-        let total = lowered.total_space();
-        let pool = joint_pool(&lowered.statements, 500, 1);
+        let one = &lowered.statements[..1];
+        let total = one[0].total();
+        let pool = joint_pool(one, 500, 1);
         assert_eq!(pool.len(), 500);
         assert!(total > 500);
         assert!(pool.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
         assert!(pool.iter().all(|&id| id < total));
+        assert_eq!(pool, joint_pool(one, 500, 1), "deterministic");
     }
 
     #[test]
@@ -116,15 +105,5 @@ mod tests {
         assert!(total < 100_000, "matmul space stays enumerable: {total}");
         let pool = joint_pool(&lowered.statements, total as usize, 1);
         assert_eq!(pool, (0..total).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn statement_pool_is_deterministic_and_within_range() {
-        let lowered = lowered_eqn1(10);
-        let st = &lowered.statements[0];
-        let a = statement_pool(st, 200, 7);
-        let b = statement_pool(st, 200, 7);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&l| l < st.total()));
     }
 }

@@ -20,10 +20,12 @@ use tcr::TcrProgram;
 use tensor::{IndexMap, IndexVar};
 
 /// Feature layout of a statement: version one-hot, then per op-slot six
-/// loop-choice one-hots over the index vocabulary plus two integers.
+/// loop-choice one-hots over the index vocabulary plus two integers. A
+/// statement with no surviving version keeps a one-column version feature
+/// (it has no id to featurize).
 fn build_feature_space(n_variants: usize, vocab_len: usize, max_ops: usize) -> FeatureSpace {
     let card = vocab_len + 1;
-    let mut fs = FeatureSpace::default().categorical("version", n_variants);
+    let mut fs = FeatureSpace::default().categorical("version", n_variants.max(1));
     for op in 0..max_ops {
         for name in ["tx", "ty", "bx", "by", "inner", "second"] {
             fs = fs.categorical(format!("op{op}_{name}"), card);
@@ -144,10 +146,11 @@ pub struct StatementTuner {
 
 impl StatementTuner {
     /// Enumerates factorizations of `contraction`, lowers each to TCR and
-    /// builds its search space. Versions whose lowering fails, or that
-    /// hold an op with no parallel loop, are quarantined (recorded in
-    /// `quarantined_versions`) rather than aborting the build; the id space
-    /// covers survivors only.
+    /// builds its search space. Versions whose lowering fails, whose space
+    /// outgrows an 8-byte configuration code, or that hold an op with no
+    /// parallel loop, are quarantined (recorded in `quarantined_versions`)
+    /// rather than aborting the build; the id space covers survivors only,
+    /// and is empty when none survives.
     pub fn build(name: &str, contraction: &Contraction, dims: &IndexMap) -> Self {
         let factorizations = enumerate_factorizations(contraction, dims);
         // Lowering + space construction per version is independent work;
@@ -155,7 +158,7 @@ impl StatementTuner {
         // indices and id offsets match the serial construction).
         let lowered: Vec<Result<Variant, String>> = rayon::par_map_slice(&factorizations, |f| {
             let program = TcrProgram::try_from_factorization(name, contraction, f, dims)?;
-            let space = ProgramSpace::build(&program);
+            let space = ProgramSpace::build(&program)?;
             // An op with a scalar output has an empty space: its version
             // has no configuration to search or map.
             if let Some(op) = space

@@ -240,6 +240,40 @@ fn scalar_temp_versions_are_quarantined_and_the_rest_tune() {
     assert!(text.contains("validation: OK"), "stdout: {text}");
 }
 
+/// `C[a0 … a33] = A[a0 … a33] * B[a0]`: its one version has more than
+/// 65,536 interior orders, too many for an 8-byte configuration code.
+#[test]
+fn statement_too_large_for_a_code_is_quarantined_not_a_panic() {
+    let idx: Vec<String> = (0..34).map(|i| format!("a{i}")).collect();
+    let idx = idx.join(" ");
+    let path = std::env::temp_dir().join(format!(
+        "barracuda_cli_too_large_{}.dsl",
+        std::process::id()
+    ));
+    std::fs::write(&path, format!("C[{idx}] = A[{idx}] * B[a0]\n")).unwrap();
+    let file = path.to_str().unwrap();
+    let out = bin().args(["info", file, "--dims", "2"]).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {text}");
+    assert!(
+        text.contains("statement 0: 0 OCTOPI version(s)"),
+        "stdout: {text}"
+    );
+    assert!(
+        text.contains("version 0 quarantined: op 0 too large for an 8-byte configuration code"),
+        "stdout: {text}"
+    );
+    let out = bin()
+        .args(["tune", file, "--dims", "2", "--quick", "--evals", "10"])
+        .args(["--arch", "k20"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "stderr: {err}");
+    assert!(err.contains("error[validation]"), "stderr: {err}");
+    assert!(err.contains("statement 0"), "stderr: {err}");
+}
+
 #[test]
 fn naive_openacc_on_a_scalar_output_exits_6_mapping() {
     let path = scalar_temp_dsl("acc");

@@ -5,8 +5,9 @@
 //! serial/parallel bit-identity and cache behavior.
 
 use barracuda::cache::EvalCache;
-use barracuda::pipeline::{TuneParams, WorkloadTuner};
+use barracuda::pipeline::{TuneParams, TunedWorkload, WorkloadTuner};
 use barracuda::workload::Workload;
+use barracuda::{kernels, Objective};
 use tensor::index::uniform_dims;
 
 fn matmul_workload(n: usize) -> Workload {
@@ -155,6 +156,49 @@ fn decomposed_tuning_matches_joint_quality() {
     let expect = w.evaluate_reference(&inputs).unwrap();
     let got = decomposed.execute(&w, &inputs).unwrap();
     assert!(expect[0].1.approx_eq(&got[0].1, 1e-10));
+}
+
+/// A one-statement workload's decomposed tune is its joint tune: the same
+/// search over the same space and seed, so every recorded figure matches
+/// under either objective.
+#[test]
+fn one_statement_builtins_tune_the_same_joint_and_decomposed() {
+    let arch = gpusim::k20();
+    let mut names = vec!["eqn1".to_string(), "tce".to_string()];
+    for family in ["s1", "d1", "d2"] {
+        names.extend((1..=9).map(|v| format!("{family}_{v}")));
+    }
+    for name in names {
+        let tuner = WorkloadTuner::build(&kernels::builtin(&name).unwrap());
+        assert_eq!(tuner.statements.len(), 1, "{name}");
+        for objective in [Objective::time_only(), Objective::balanced()] {
+            let params = TuneParams {
+                objective,
+                ..TuneParams::quick()
+            };
+            let figures = |t: TunedWorkload| {
+                let times: Vec<u64> = t
+                    .search
+                    .evaluated_times
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                (
+                    t.id,
+                    t.gpu_seconds.to_bits(),
+                    t.search.n_evals,
+                    t.search.batches,
+                    times,
+                )
+            };
+            assert_eq!(
+                figures(tuner.autotune(&arch, params).unwrap()),
+                figures(tuner.autotune_decomposed(&arch, params).unwrap()),
+                "{name} under {}",
+                objective.describe()
+            );
+        }
+    }
 }
 
 #[test]

@@ -288,7 +288,7 @@ mod tests {
     fn traffic_from_program_space_config() {
         // Smoke: any generated config yields positive traffic numbers.
         let p = matmul_program(16);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let arch = gtx980();
         for cfg in space.per_op[0].configs().take(8) {
             let k = map_kernel(&p, 0, cfg, false).unwrap();

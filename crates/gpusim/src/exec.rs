@@ -173,7 +173,7 @@ mod tests {
         };
         let fs = enumerate_factorizations(&c, &dims);
         let p = tcr::TcrProgram::from_factorization("mm", &c, &fs[0], &dims);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let a = Tensor::random(Shape::new([n, n]), 41);
         let b = Tensor::random(Shape::new([n, n]), 42);
         let expect = p.evaluate(&[&a, &b]);
@@ -202,7 +202,7 @@ mod tests {
         for f in fs.iter().step_by(4) {
             let p = tcr::TcrProgram::from_factorization("ex", &c, f, &dims);
             let expect = p.evaluate(&[&a, &b, &cc, &u]);
-            let space = ProgramSpace::build(&p);
+            let space = ProgramSpace::build(&p).unwrap();
             let total = space.len();
             for frac in [0u128, 1, 2, 5] {
                 let id = total * frac / 7;
@@ -234,7 +234,7 @@ mod tests {
         };
         let fs = enumerate_factorizations(&c, &dims);
         let p = tcr::TcrProgram::from_factorization("mm", &c, &fs[0], &dims);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let cfg = space.config(0);
         let kernels = map_program(&p, &space, &cfg, true).unwrap();
         let a = Tensor::random(Shape::new([n, n]), 7);
@@ -281,7 +281,7 @@ mod tests {
         };
         let fs = enumerate_factorizations(&c, &dims);
         let p = tcr::TcrProgram::from_factorization("mm", &c, &fs[0], &dims);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let kernels = map_program(&p, &space, &space.config(0), false).unwrap();
         let a = Tensor::random(Shape::new([n, n]), 7);
         let _ = execute_program(&p, &kernels, &[&a]);

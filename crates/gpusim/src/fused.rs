@@ -333,7 +333,7 @@ mod tests {
         let arch = crate::arch::gtx980();
         let fused = time_fused(&k, &p, &arch);
 
-        let space = tcr::space::ProgramSpace::build(&p);
+        let space = tcr::space::ProgramSpace::build(&p).unwrap();
         let mut best_unfused = f64::INFINITY;
         let total = space.len();
         for frac in 0..64u128 {

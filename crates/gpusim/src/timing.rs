@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn program_time_accumulates_and_transfers() {
         let p = matmul_program(32);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let kernels = map_program(&p, &space, &Configuration { choice: vec![0] }, false).unwrap();
         let arch = gtx980();
         let with = time_program(&p, &kernels, &arch, true);
@@ -510,7 +510,7 @@ mod tests {
     fn gflops_bounded_by_peak() {
         let p = matmul_program(128);
         for arch in all_architectures() {
-            let space = ProgramSpace::build(&p);
+            let space = ProgramSpace::build(&p).unwrap();
             let kernels =
                 map_program(&p, &space, &Configuration { choice: vec![0] }, false).unwrap();
             let t = time_program(&p, &kernels, &arch, false);

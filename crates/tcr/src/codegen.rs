@@ -645,7 +645,7 @@ mod tests {
     #[test]
     fn kernel_source_has_cuda_shape() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let cfg = space.per_op[2].config(0);
         let k = map_kernel(&p, 2, cfg, false).unwrap();
         let src = cuda_kernel(&k);
@@ -657,7 +657,7 @@ mod tests {
     #[test]
     fn unrolled_kernel_emits_copies_and_remainder() {
         let p = matmul_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let cfg = space.per_op[0]
             .configs()
             .find(|c| c.unroll == 3 && c.interior.len() == 1)
@@ -675,7 +675,7 @@ mod tests {
     #[test]
     fn scalar_replacement_emitted_when_registered() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let cfg = space.per_op[0]
             .configs()
             .find(|c| c.interior.len() == 1 && c.unroll == 1)
@@ -690,7 +690,7 @@ mod tests {
     #[test]
     fn accumulate_reads_initial_output() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let cfg = space.per_op[0]
             .configs()
             .find(|c| c.interior.len() == 1 && c.unroll == 1)
@@ -703,7 +703,7 @@ mod tests {
     #[test]
     fn launcher_lists_every_kernel() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let kernels = map_program(&p, &space, &space.config(0), false).unwrap();
         let host = cuda_launcher(&kernels);
         assert_eq!(host.matches("<<<").count(), 3);
@@ -712,7 +712,7 @@ mod tests {
     #[test]
     fn orio_annotation_mentions_params() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let ann = orio_annotations(&space);
         assert!(ann.contains("param PERMUTE_2_TX2[]"));
         assert!(ann.contains("param UF_0[]"));
@@ -722,7 +722,7 @@ mod tests {
     #[test]
     fn cuda_file_is_self_contained() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let kernels = map_program(&p, &space, &space.config(0), false).unwrap();
         let src = cuda_file(&p, &kernels);
         assert!(src.contains("#include <cuda_runtime.h>"));
@@ -741,7 +741,7 @@ mod tests {
     #[test]
     fn staged_kernel_emits_shared_memory() {
         let p = matmul_program(16);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let mut cfg = space.per_op[0]
             .configs()
             .find(|c| c.interior.len() == 1 && c.unroll == 1)

@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn matmul_mapping_dimensions() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let cfg = space.per_op[0].config(0);
         let k = map_kernel(&p, 0, cfg, false).unwrap();
         assert_eq!(k.tx.1, 8);
@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn flops_invariant_across_all_configs() {
         let p = eqn1_program(6);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         for (i, s) in space.per_op.iter().enumerate() {
             let expect = map_kernel(&p, i, s.config(0), false).unwrap().flops();
             for cfg in s.configs() {
@@ -485,7 +485,7 @@ mod tests {
     #[test]
     fn program_flops_match_mapped_total() {
         let p = eqn1_program(6);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let cfgid = space.config(0);
         let kernels = map_program(&p, &space, &cfgid, false).unwrap();
         let total: u64 = kernels.iter().map(|k| k.flops()).sum();
@@ -495,7 +495,7 @@ mod tests {
     #[test]
     fn scalar_replacement_detection() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         // Find a config whose interior is exactly the summation loop j: the
         // output C[i,k] is invariant to it, so fully registered.
         let s = &space.per_op[0];
@@ -511,7 +511,7 @@ mod tests {
     #[test]
     fn input_loads_count_inner_reuse() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let s = &space.per_op[0];
         let cfg = s.configs().find(|c| c.interior.len() == 1).unwrap();
         let k = map_kernel(&p, 0, cfg, false).unwrap();
@@ -523,7 +523,7 @@ mod tests {
     #[test]
     fn accumulate_flag_only_on_output_statement() {
         let p = eqn1_program(4);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let kernels = map_program(&p, &space, &space.config(0), true).unwrap();
         for k in &kernels[..kernels.len() - 1] {
             assert!(!k.accumulate, "temporary kernels never accumulate");
@@ -534,7 +534,7 @@ mod tests {
     #[test]
     fn bad_interior_rejected() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let mut cfg = space.per_op[0].config(0);
         cfg.interior.clear();
         let err = map_kernel(&p, 0, cfg, false).unwrap_err();
@@ -545,7 +545,7 @@ mod tests {
     #[test]
     fn bad_unroll_rejected() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let mut cfg = space.per_op[0].config(0);
         cfg.unroll = 10_000;
         if cfg.interior.is_empty() {
@@ -558,7 +558,7 @@ mod tests {
     #[test]
     fn kernel_names_match_paper_style() {
         let p = eqn1_program(4);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let kernels = map_program(&p, &space, &space.config(0), false).unwrap();
         assert_eq!(kernels[2].name, "ex_GPU_2");
     }

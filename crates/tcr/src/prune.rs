@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn pruning_shrinks_the_space() {
         let p = eqn1_program(10);
-        let full = ProgramSpace::build(&p);
+        let full = ProgramSpace::build(&p).unwrap();
         let pruned = prune_space(&p, &full, &PruneRules::aggressive());
         assert!(
             pruned.len() < full.len() / 4,
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn coalesced_output_rule_holds() {
         let p = matmul_program(8);
-        let full = ProgramSpace::build(&p);
+        let full = ProgramSpace::build(&p).unwrap();
         let rules = PruneRules {
             coalesced_output: true,
             unroll_sweet_spots: false,
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn unroll_rule_keeps_sweet_spots_only() {
         let p = matmul_program(10);
-        let full = ProgramSpace::build(&p);
+        let full = ProgramSpace::build(&p).unwrap();
         let rules = PruneRules {
             coalesced_output: false,
             unroll_sweet_spots: true,
@@ -199,7 +199,7 @@ mod tests {
     fn pruning_never_empties_a_statement() {
         // A rule set that matches nothing must fall back to the full list.
         let p = matmul_program(3);
-        let full = ProgramSpace::build(&p);
+        let full = ProgramSpace::build(&p).unwrap();
         let rules = PruneRules::aggressive();
         let pruned = prune_space(&p, &full, &rules);
         for s in &pruned.per_op {
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn conservative_rules_are_weaker() {
         let p = eqn1_program(10);
-        let full = ProgramSpace::build(&p);
+        let full = ProgramSpace::build(&p).unwrap();
         let a = prune_space(&p, &full, &PruneRules::aggressive());
         let c = prune_space(&p, &full, &PruneRules::conservative());
         assert!(a.len() <= c.len());

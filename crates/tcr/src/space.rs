@@ -271,15 +271,16 @@ pub struct Configuration {
 }
 
 impl ProgramSpace {
-    /// Builds the search space for every statement of `program`.
-    pub fn build(program: &TcrProgram) -> Self {
+    /// Builds the search space for every statement of `program`, or names
+    /// the first statement whose tables outgrow an 8-byte [`OpCode`].
+    pub fn build(program: &TcrProgram) -> Result<Self, String> {
         let per_op = program
             .ops
             .iter()
             .enumerate()
             .map(|(i, op)| build_op_space(program, op, i))
-            .collect();
-        ProgramSpace { per_op }
+            .collect::<Result<_, _>>()?;
+        Ok(ProgramSpace { per_op })
     }
 
     /// Total number of program configurations (product across statements).
@@ -336,7 +337,7 @@ impl ProgramSpace {
 
 /// Decision algorithm: candidate generation + enumeration of valid configs
 /// for one statement.
-fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> OpSpace {
+fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> Result<OpSpace, String> {
     let nest = LoopNest::for_op(program, op);
     let default_order = nest.vars();
     let parallel = nest.parallel_vars();
@@ -451,13 +452,13 @@ fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> OpSpace 
                         for unroll in 1..=max_uf {
                             for &staged in &stagings {
                                 codes.push(OpCode {
-                                    tx: narrow(txi),
-                                    ty: narrow(tyi),
-                                    bx: narrow(bxi),
-                                    by: narrow(byi),
-                                    interior: narrow(interior),
-                                    unroll: narrow(unroll),
-                                    staged: narrow(staged),
+                                    tx: narrow(txi, op_index)?,
+                                    ty: narrow(tyi, op_index)?,
+                                    bx: narrow(bxi, op_index)?,
+                                    by: narrow(byi, op_index)?,
+                                    interior: narrow(interior, op_index)?,
+                                    unroll: narrow(unroll, op_index)?,
+                                    staged: narrow(staged, op_index)?,
                                 });
                             }
                         }
@@ -475,7 +476,7 @@ fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> OpSpace 
     // `One` entry here.
     if codes.is_empty() {
         if let Some(tx) = tx_candidates.first() {
-            let grid_one = narrow(bx_candidates.len());
+            let grid_one = narrow(bx_candidates.len(), op_index)?;
             bx_candidates.push(LoopSel::One);
             let base_interior: Vec<IndexVar> = parallel
                 .iter()
@@ -492,16 +493,16 @@ fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> OpSpace 
                         ty: 0,
                         bx: grid_one,
                         by: 0,
-                        interior: narrow(interior),
-                        unroll: narrow(unroll),
-                        staged: narrow(unstaged),
+                        interior: narrow(interior, op_index)?,
+                        unroll: narrow(unroll, op_index)?,
+                        staged: narrow(unstaged, op_index)?,
                     });
                 }
             }
         }
     }
 
-    OpSpace {
+    Ok(OpSpace {
         op_index,
         tx_candidates,
         ty_candidates,
@@ -510,17 +511,16 @@ fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> OpSpace 
         interiors: tables.interiors,
         stagings: tables.stagings,
         codes,
-    }
+    })
 }
 
-/// An index as an [`OpCode`] field. A statement whose tables outgrow the
-/// code (more than 255 parallel loops or 65,536 interior orders) panics
-/// here rather than aliasing configurations.
-fn narrow<T: TryFrom<usize>>(index: usize) -> T {
-    match T::try_from(index) {
-        Ok(field) => field,
-        Err(_) => panic!("statement too large for an 8-byte configuration code ({index})"),
-    }
+/// An index as an [`OpCode`] field of statement `op`. A statement whose
+/// tables outgrow the code (more than 255 parallel loops or 65,536 interior
+/// orders) is refused here rather than aliasing configurations.
+fn narrow<T: TryFrom<usize>>(index: usize, op: usize) -> Result<T, String> {
+    T::try_from(index).map_err(|_| {
+        format!("op {op} too large for an 8-byte configuration code (table index {index})")
+    })
 }
 
 /// The interior orders and staging subsets of one statement while its
@@ -649,7 +649,7 @@ mod tests {
     #[test]
     fn matmul_space_candidates() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let s = &space.per_op[0];
         // ThreadX must be coalescing-friendly parallel loops: k (unit in B
         // and C); j is unit-stride in A but j is a summation loop.
@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn all_configs_satisfy_permute_constraint() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         for s in &space.per_op {
             for c in s.configs() {
                 assert!(
@@ -677,7 +677,7 @@ mod tests {
     #[test]
     fn all_mapped_loops_are_parallel() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         for (s, op) in space.per_op.iter().zip(&p.ops) {
             let nest = LoopNest::for_op(&p, op);
             let par = nest.parallel_vars();
@@ -692,7 +692,7 @@ mod tests {
     #[test]
     fn interior_covers_unmapped_loops_exactly() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         for (s, op) in space.per_op.iter().zip(&p.ops) {
             let all = p.loop_vars(op);
             for c in s.configs() {
@@ -712,7 +712,7 @@ mod tests {
     #[test]
     fn unroll_bounded_by_extent_and_max() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         for s in &space.per_op {
             for c in s.configs() {
                 assert!(c.unroll >= 1 && c.unroll <= MAX_UNROLL);
@@ -728,7 +728,7 @@ mod tests {
     #[test]
     fn mixed_radix_roundtrip() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let n = space.len();
         assert!(n > 0);
         for id in [0u128, 1, n / 2, n - 1] {
@@ -740,7 +740,7 @@ mod tests {
     #[test]
     fn eqn1_space_is_large() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         // Three statements, each with hundreds+ configs: a search space the
         // paper calls "computationally prohibitive" to enumerate.
         assert!(space.len() > 10_000, "space = {}", space.len());
@@ -777,7 +777,7 @@ mod tests {
         // distinct elements and it is large).
         assert_eq!(cands, vec![0]);
         // And the enumerated space contains staged configurations.
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         assert!(space.per_op[0].configs().any(|c| !c.staged.is_empty()));
         assert!(space.per_op[0].configs().any(|c| c.staged.is_empty()));
     }
@@ -796,14 +796,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn config_id_range_checked() {
         let p = matmul_program(8);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         let _ = space.config(space.len());
     }
 
     #[test]
     fn block_size_within_limits() {
         let p = eqn1_program(10);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         for s in &space.per_op {
             for c in s.configs() {
                 let threads = p.dims[&c.tx] * c.ty.var().map(|v| p.dims[v]).unwrap_or(1);

@@ -223,6 +223,10 @@ fn decomposed_tuning_survives_faults_with_shared_budget() {
         .autotune_decomposed(&arch, params)
         .unwrap();
     assert!(tuned.gpu_seconds.is_finite() && tuned.gpu_seconds > 0.0);
+    assert!(
+        tuned.search.pool_size > 0,
+        "the statements' pools are counted"
+    );
     // The cap is shared; once it runs dry each remaining statement still
     // gets a single attempt (it needs *a* configuration), so the bound is
     // cap + one per statement.

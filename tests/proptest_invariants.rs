@@ -144,7 +144,7 @@ proptest! {
     fn config_ids_roundtrip(g in contraction_strategy(), frac in 0u64..1000) {
         let fs = enumerate_factorizations(&g.c, &g.dims);
         let p = TcrProgram::from_factorization("p", &g.c, &fs[0], &g.dims);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         prop_assume!(!space.is_empty());
         let id = space.len() * frac as u128 / 1000;
         let id = id.min(space.len() - 1);
@@ -164,7 +164,7 @@ proptest! {
         let fs = enumerate_factorizations(&g.c, &g.dims);
         let f = &fs[0];
         let p = TcrProgram::from_factorization("p", &g.c, f, &g.dims);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         prop_assume!(!space.is_empty());
         let id = (space.len() * frac as u128 / 1000).min(space.len() - 1);
         let cfg = space.config(id);
@@ -191,7 +191,7 @@ proptest! {
     ) {
         let fs = enumerate_factorizations(&g.c, &g.dims);
         let p = TcrProgram::from_factorization("p", &g.c, &fs[0], &g.dims);
-        let space = ProgramSpace::build(&p);
+        let space = ProgramSpace::build(&p).unwrap();
         prop_assume!(!space.is_empty());
         let id = (space.len() * frac as u128 / 1000).min(space.len() - 1);
         let cfg = space.config(id);
@@ -258,7 +258,7 @@ proptest! {
     fn pruned_configs_remain_valid(g in contraction_strategy(), frac in 0u64..1000) {
         let fs = enumerate_factorizations(&g.c, &g.dims);
         let p = TcrProgram::from_factorization("p", &g.c, &fs[0], &g.dims);
-        let full = ProgramSpace::build(&p);
+        let full = ProgramSpace::build(&p).unwrap();
         prop_assume!(!full.is_empty());
         let pruned = tcr::prune_space(&p, &full, &tcr::PruneRules::aggressive());
         prop_assert!(pruned.len() <= full.len());
