@@ -53,7 +53,7 @@ pub fn op_key(stmt: usize, version: usize, op: usize, choice: usize) -> u128 {
 
 /// A statement-level failure reconstructed from memoized per-op outcomes,
 /// carrying the exact detail string the unmemoized pipeline produces.
-pub(crate) enum StatementFault {
+enum StatementFault {
     Mapping { version: usize, detail: String },
     Simulation { detail: String },
 }
@@ -66,7 +66,7 @@ pub(crate) enum StatementFault {
 /// validation failure in op order, else the kernel times are summed
 /// left-to-right exactly like `ProgramTiming::gpu_s`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn statement_time_memo(
+fn statement_time_memo(
     st: &StatementTuner,
     stmt: usize,
     version: usize,

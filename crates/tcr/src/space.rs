@@ -278,7 +278,13 @@ impl ProgramSpace {
             .ops
             .iter()
             .enumerate()
-            .map(|(i, op)| build_op_space(program, op, i))
+            .map(|(i, op)| {
+                build_op_space(program, op, i).map_err(|index| {
+                    format!(
+                        "op {i} too large for an 8-byte configuration code (table index {index})"
+                    )
+                })
+            })
             .collect::<Result<_, _>>()?;
         Ok(ProgramSpace { per_op })
     }
@@ -336,8 +342,9 @@ impl ProgramSpace {
 }
 
 /// Decision algorithm: candidate generation + enumeration of valid configs
-/// for one statement.
-fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> Result<OpSpace, String> {
+/// for one statement, or the first table index that outgrows its
+/// [`OpCode`] field.
+fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> Result<OpSpace, usize> {
     let nest = LoopNest::for_op(program, op);
     let default_order = nest.vars();
     let parallel = nest.parallel_vars();
@@ -452,13 +459,13 @@ fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> Result<O
                         for unroll in 1..=max_uf {
                             for &staged in &stagings {
                                 codes.push(OpCode {
-                                    tx: narrow(txi, op_index)?,
-                                    ty: narrow(tyi, op_index)?,
-                                    bx: narrow(bxi, op_index)?,
-                                    by: narrow(byi, op_index)?,
-                                    interior: narrow(interior, op_index)?,
-                                    unroll: narrow(unroll, op_index)?,
-                                    staged: narrow(staged, op_index)?,
+                                    tx: narrow(txi)?,
+                                    ty: narrow(tyi)?,
+                                    bx: narrow(bxi)?,
+                                    by: narrow(byi)?,
+                                    interior: narrow(interior)?,
+                                    unroll: narrow(unroll)?,
+                                    staged: narrow(staged)?,
                                 });
                             }
                         }
@@ -476,7 +483,7 @@ fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> Result<O
     // `One` entry here.
     if codes.is_empty() {
         if let Some(tx) = tx_candidates.first() {
-            let grid_one = narrow(bx_candidates.len(), op_index)?;
+            let grid_one = narrow(bx_candidates.len())?;
             bx_candidates.push(LoopSel::One);
             let base_interior: Vec<IndexVar> = parallel
                 .iter()
@@ -493,9 +500,9 @@ fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> Result<O
                         ty: 0,
                         bx: grid_one,
                         by: 0,
-                        interior: narrow(interior, op_index)?,
-                        unroll: narrow(unroll, op_index)?,
-                        staged: narrow(unstaged, op_index)?,
+                        interior: narrow(interior)?,
+                        unroll: narrow(unroll)?,
+                        staged: narrow(unstaged)?,
                     });
                 }
             }
@@ -514,13 +521,13 @@ fn build_op_space(program: &TcrProgram, op: &TcrOp, op_index: usize) -> Result<O
     })
 }
 
-/// An index as an [`OpCode`] field of statement `op`. A statement whose
-/// tables outgrow the code (more than 255 parallel loops or 65,536 interior
-/// orders) is refused here rather than aliasing configurations.
-fn narrow<T: TryFrom<usize>>(index: usize, op: usize) -> Result<T, String> {
-    T::try_from(index).map_err(|_| {
-        format!("op {op} too large for an 8-byte configuration code (table index {index})")
-    })
+/// An index as an [`OpCode`] field, or the index back when it does not
+/// fit. A statement whose tables outgrow the code (more than 255 parallel
+/// loops or 65,536 interior orders) is refused rather than aliasing
+/// configurations. The error is the bare index so that the enumeration's
+/// inner loop carries no message.
+fn narrow<T: TryFrom<usize>>(index: usize) -> Result<T, usize> {
+    T::try_from(index).map_err(|_| index)
 }
 
 /// The interior orders and staging subsets of one statement while its
