@@ -2,15 +2,17 @@
 //! per-evaluation operations the SURF search loop performs millions of
 //! times — config decode, kernel timing, memoized evaluation — each with
 //! the allocating or unmemoized baseline next to the fast path, so
-//! regressions in either show up as a ratio, not just a number; and the
-//! surrogate's pool scoring, one-shot and per round.
+//! regressions in either show up as a ratio, not just a number; the
+//! surrogate's pool scoring, one-shot and per round; and the rest of a
+//! cold tce search's surrogate work: one tune's eight forest refits, and
+//! its pool transposed from configuration codes next to the row path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use barracuda::prelude::*;
-use barracuda::EvalCache;
-use surf::{ExtraTrees, ForestParams, TransposedPool};
+use barracuda::{EvalCache, TunerEvaluator};
+use surf::{ExtraTrees, ForestParams, ParallelEvaluator, SurfParams, TransposedPool};
 
 fn bench_config_decode(c: &mut Criterion) {
     let w = kernels::table2_benchmarks()
@@ -155,6 +157,53 @@ fn bench_memoized_eval(c: &mut Criterion) {
     });
 }
 
+fn bench_fit_and_pool(c: &mut Criterion) {
+    // A captured tce training set: the first 120 evaluations of a
+    // paper-parameter search over its 20,000-id pool.
+    let w = kernels::builtin("tce").unwrap();
+    let tuner = WorkloadTuner::build(&w);
+    let arch = gpusim::k20();
+    let params = TuneParams::paper();
+    let cache = EvalCache::new();
+    let evaluator = TunerEvaluator::new(&tuner, &arch, &cache, &params);
+    let pool = tuner.pool(params.pool_cap, params.seed);
+    let surf_params = SurfParams {
+        max_evals: 120,
+        patience: None,
+        ..params.surf
+    };
+    let run = surf::surf_search_serial(&pool, &evaluator, surf_params).unwrap();
+    let xs: Vec<Vec<f64>> = run
+        .evaluated
+        .iter()
+        .map(|&(id, _)| tuner.features(id))
+        .collect();
+    let ys: Vec<f64> = run.evaluated.iter().map(|&(_, y)| y).collect();
+
+    // One 130-evaluation tune's refits: the paper forest on the first 50,
+    // 60, ..., 120 samples.
+    c.bench_function("hotpath/fit_tce_eight_refits", |b| {
+        b.iter(|| {
+            for n in (50..=120).step_by(10) {
+                black_box(ExtraTrees::fit(&xs[..n], &ys[..n], params.surf.forest));
+            }
+        })
+    });
+
+    // The pool the first scoring pass transposes: written from the ids'
+    // configuration codes, and the row path that featurizes every id and
+    // transposes the rows.
+    c.bench_function("hotpath/pool_tce_20k_from_codes", |b| {
+        b.iter(|| black_box(evaluator.transposed_pool(black_box(&pool))))
+    });
+    c.bench_function("hotpath/pool_tce_20k_from_rows", |b| {
+        b.iter(|| {
+            let rows = black_box(&pool).iter().map(|&id| evaluator.features(id));
+            black_box(TransposedPool::from_rows(pool.len(), rows))
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -166,5 +215,6 @@ criterion_group! {
     bench_kernel_timing,
     bench_predict,
     bench_memoized_eval,
+    bench_fit_and_pool,
 }
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! CI smoke gate for the search engine: runs the serial-vs-parallel bench
 //! at reduced budgets and fails (nonzero exit) if any workload's parallel
-//! run diverges from the serial run bit-for-bit.
+//! run diverges from the serial run bit-for-bit, memo hit and miss counters
+//! included.
 fn main() {
     let rows = bench::search_bench::run(bench::smoke_params());
     println!("{}", bench::search_bench::render(&rows));

@@ -38,7 +38,8 @@ pub struct SearchBenchRow {
     pub map_ns: u64,
     pub sim_ns: u64,
     pub predict_ns: u64,
-    /// Parallel run reproduced the serial run bit for bit.
+    /// Parallel run reproduced the serial run bit for bit: pick, measured
+    /// times and memo hit and miss counters.
     pub identical: bool,
 }
 
@@ -55,8 +56,12 @@ pub fn run(params: TuneParams) -> Vec<SearchBenchRow> {
             parallel_params.threads = 0;
             let parallel = tuner.autotune(&arch, parallel_params).unwrap();
             let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            let counters = |s: &barracuda::SearchStats| {
+                (s.per_op_hits, s.per_op_misses, s.time_hits, s.time_misses)
+            };
             let identical = serial.id == parallel.id
-                && bits(&serial.search.evaluated_times) == bits(&parallel.search.evaluated_times);
+                && bits(&serial.search.evaluated_times) == bits(&parallel.search.evaluated_times)
+                && counters(&serial.search) == counters(&parallel.search);
             SearchBenchRow {
                 workload: w.name.clone(),
                 space_size: tuner.total_space(),

@@ -13,7 +13,7 @@
 //! cache can serve several distinct keyspaces at once (e.g. per-statement
 //! local ids in decomposed tuning, or per-architecture times).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
 
@@ -52,11 +52,20 @@ impl<V: Clone> ShardedMap<V> {
             .cloned()
     }
 
-    fn insert(&self, salt: u64, id: u128, v: V) {
-        self.shards[shard_of(salt, id)]
+    /// Inserts `v` unless the key is present, and reports whether it
+    /// added the key: a thread that lost a race to compute it keeps the
+    /// winner's entry (both computed the same value).
+    fn insert(&self, salt: u64, id: u128, v: V) -> bool {
+        let mut shard = self.shards[shard_of(salt, id)]
             .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert((salt, id), v);
+            .unwrap_or_else(|p| p.into_inner());
+        match shard.entry((salt, id)) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(e) => {
+                e.insert(v);
+                true
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -179,21 +188,29 @@ impl EvalCache {
     }
 
     /// Memoized simulated time of `(salt, id)`. The compute runs outside
-    /// any lock, so a slow simulation never blocks unrelated lookups.
+    /// any lock, so a slow simulation never blocks unrelated lookups. Only
+    /// the insert that adds the key counts a miss; a thread that computed
+    /// the key alongside it counts a hit. Misses therefore equal distinct
+    /// keys, and a parallel search counts what a serial one does.
     pub fn time(&self, salt: u64, id: u128, compute: impl FnOnce() -> f64) -> f64 {
         if let Some(t) = self.times.get(salt, id) {
             self.time_hits.fetch_add(1, Ordering::Relaxed);
             return t;
         }
-        self.time_misses.fetch_add(1, Ordering::Relaxed);
         let t = compute();
-        self.times.insert(salt, id, t);
+        let counter = if self.times.insert(salt, id, t) {
+            &self.time_misses
+        } else {
+            &self.time_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         t
     }
 
-    /// Memoized per-op outcome of `(salt, key)`. Counted separately from
-    /// the whole-configuration times so the two hit rates stay comparable
-    /// in the search statistics.
+    /// Memoized per-op outcome of `(salt, key)`, counted as
+    /// [`EvalCache::time`] counts. Counted separately from the
+    /// whole-configuration times so the two hit rates stay comparable in
+    /// the search statistics.
     pub fn op_outcome(
         &self,
         salt: u64,
@@ -204,9 +221,13 @@ impl EvalCache {
             self.op_hits.fetch_add(1, Ordering::Relaxed);
             return o;
         }
-        self.op_misses.fetch_add(1, Ordering::Relaxed);
         let o = compute();
-        self.ops.insert(salt, key, o.clone());
+        let counter = if self.ops.insert(salt, key, o.clone()) {
+            &self.op_misses
+        } else {
+            &self.op_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         o
     }
 
@@ -247,6 +268,7 @@ impl EvalCache {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn second_lookup_hits() {
@@ -295,6 +317,32 @@ mod tests {
         cache.hot().add_sim(3);
         let d = cache.hot().snapshot().delta(&before);
         assert_eq!((d.decode_ns, d.map_ns, d.sim_ns), (0, 10, 3));
+    }
+
+    #[test]
+    fn racing_computes_count_one_miss_per_key() {
+        // Both threads miss the key and meet inside `compute`, so both
+        // compute it; the one whose insert adds the key counts the miss,
+        // the other a hit, as a serial second lookup would.
+        let cache = EvalCache::new();
+        let met = Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    cache.time(0, 7, || {
+                        met.wait();
+                        1.0
+                    });
+                    cache.op_outcome(0, 7, || {
+                        met.wait();
+                        OpOutcome::Time(2.0)
+                    });
+                });
+            }
+        });
+        assert_eq!(cache.time_stats(), (1, 1));
+        assert_eq!(cache.op_stats(), (1, 1));
+        assert_eq!((cache.times_len(), cache.ops_len()), (1, 1));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::variant::StatementTuner;
 use crate::workload::Workload;
 use gpusim::GpuArch;
 use std::time::Instant;
-use surf::{EvalFault, ParallelEvaluator};
+use surf::{EvalFault, ParallelEvaluator, TransposedPool};
 use tcr::mapping::{map_kernel, map_program};
 use tcr::program::ArrayKind;
 
@@ -344,6 +344,12 @@ impl ParallelEvaluator for TunerEvaluator<'_> {
         lower::joint_features(self.statements, id)
     }
 
+    /// The pool written from the ids' configuration codes, so the search
+    /// builds no feature row for it.
+    fn transposed_pool(&self, ids: &[u128]) -> Option<TransposedPool> {
+        Some(lower::joint_transposed_pool(self.statements, ids))
+    }
+
     fn evaluate(&self, id: u128) -> f64 {
         self.try_evaluate(id).unwrap_or(f64::NAN)
     }
@@ -376,6 +382,10 @@ impl<E: ParallelEvaluator, M: Fn(u128) -> (u64, u64) + Sync> ParallelEvaluator
 {
     fn features(&self, id: u128) -> Vec<f64> {
         self.inner.features(id)
+    }
+
+    fn transposed_pool(&self, ids: &[u128]) -> Option<TransposedPool> {
+        self.inner.transposed_pool(ids)
     }
 
     fn evaluate(&self, id: u128) -> f64 {
@@ -446,6 +456,38 @@ mod tests {
         let b = ev.evaluate(3);
         assert_eq!(a.to_bits(), b.to_bits());
         assert_ne!(a.to_bits(), ev.time(3).to_bits(), "noise actually applied");
+    }
+
+    #[test]
+    fn code_pools_equal_the_transposed_feature_rows() {
+        // Every builtin, over all its statements and over each one alone:
+        // the pool written from configuration codes is the pool the search
+        // would transpose from feature rows. The ids go in reversed, as the
+        // search's shuffled order does not follow the pool's.
+        let nwchem = ["s1", "d1", "d2"]
+            .into_iter()
+            .flat_map(|f| (1..=9).map(move |v| format!("{f}_{v}")));
+        let names = ["eqn1", "lg3", "lg3t", "tce"].map(String::from);
+        let arch = gpusim::k20();
+        let cache = EvalCache::new();
+        let noise = TuneParams::quick().noise(0);
+        for name in names.into_iter().chain(nwchem) {
+            let w = crate::kernels::builtin(&name).expect("a builtin name");
+            let tuner = WorkloadTuner::build(&w);
+            let n = tuner.statements.len();
+            for range in std::iter::once(0..n).chain((0..n).map(|k| k..k + 1)) {
+                let statements = &tuner.statements[range.clone()];
+                let ev = TunerEvaluator::over(&w, statements, range.start, &arch, &cache, 0, noise);
+                let mut pool = crate::stages::space::joint_pool(statements, 2_000, 7);
+                pool.reverse();
+                let rows = pool.iter().map(|&id| ev.features(id));
+                let want = TransposedPool::from_rows(pool.len(), rows);
+                assert!(
+                    ev.transposed_pool(&pool) == Some(want),
+                    "{name}, statements {range:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::error::BarracudaError;
 use crate::quarantine::QuarantineReport;
 use crate::variant::StatementTuner;
 use crate::workload::Workload;
+use surf::TransposedPool;
 use tcr::mapping::{map_programs, MapJob, MappedKernel};
 use tcr::{ArrayKind, TcrProgram};
 
@@ -69,6 +70,35 @@ pub fn joint_features(statements: &[StatementTuner], id: u128) -> Vec<f64> {
         s.features_into(local, &mut out);
     }
     out
+}
+
+/// The pool of `ids` transposed, row `r` being `ids[r]`: the pool
+/// [`TransposedPool::from_rows`] builds from their [`joint_features`],
+/// written from their configuration codes instead. Each id marks its row
+/// in the bitset of every raw feature value it takes (its version and its
+/// ops' slot-table values), and each statement's feature space binarizes
+/// those value classes into its columns, so no feature row is built.
+pub(crate) fn joint_transposed_pool(statements: &[StatementTuner], ids: &[u128]) -> TransposedPool {
+    let words = ids.len().div_ceil(64);
+    let mut raw: Vec<Vec<Vec<u64>>> = statements
+        .iter()
+        .map(|s| vec![Vec::new(); s.feature_space().features.len()])
+        .collect();
+    for (row, &id) in ids.iter().enumerate() {
+        // `decode_joint` inline: allocating its vector per id took about
+        // two-fifths of this function's time.
+        let mut rest = id;
+        for (s, raw) in statements.iter().zip(&mut raw).rev() {
+            let radix = s.total();
+            s.mark_raw_values(rest % radix, row, words, raw);
+            rest /= radix;
+        }
+    }
+    let columns = statements
+        .iter()
+        .zip(&raw)
+        .flat_map(|(s, raw)| s.feature_space().binarize_classes(ids.len(), raw));
+    TransposedPool::from_classes(ids.len(), columns)
 }
 
 /// Flops of the versions selected by a joint id.

@@ -321,19 +321,48 @@ impl StatementTuner {
         out
     }
 
-    /// Appends the binarized features of a flat id to `out`, reading each
-    /// op's raw values from its slot tables. An op slot the version does
-    /// not use reads as every loop absent, unroll 0 and nothing staged.
+    /// Appends the binarized features of a flat id to `out`: its raw
+    /// values ([`StatementTuner::raw_values`]), binarized.
     pub(crate) fn features_into(&self, id: u128, out: &mut Vec<f64>) {
+        let mut raw = vec![0.0; 1 + 8 * self.max_ops];
+        self.raw_values(id, |feature, x| raw[feature] = x);
+        self.feature_space.binarize_into(&raw, out);
+    }
+
+    /// Marks row `row` of a pool of `words`-word row bitsets at every raw
+    /// value of flat id `id`. `raw[j]` holds raw feature `j`'s rows by
+    /// value, in the layout [`FeatureSpace::binarize_classes`] takes, and
+    /// grows to the values it meets.
+    pub(crate) fn mark_raw_values(&self, id: u128, row: usize, words: usize, raw: &mut [Vec<u64>]) {
+        let (word, bit) = (row / 64, 1u64 << (row % 64));
+        self.raw_values(id, |feature, x| {
+            let at = x as usize * words;
+            let rows = &mut raw[feature];
+            if rows.len() < at + words {
+                rows.resize(at + words, 0);
+            }
+            rows[at + word] |= bit;
+        });
+    }
+
+    /// Calls `f` with every raw feature value of a flat id, by feature of
+    /// [`StatementTuner::feature_space`]: the version, then each op's
+    /// vocabulary slots, unroll factor and staged count, read from its slot
+    /// tables. An op slot the version does not use reads as every loop
+    /// absent, unroll 0 and nothing staged.
+    fn raw_values(&self, id: u128, mut f: impl FnMut(usize, f64)) {
         let (v, local) = self.decode_raw(id);
         let space = &self.variants[v].space;
-        let mut raw = vec![0.0; 1 + 8 * self.max_ops];
-        raw[0] = v as f64;
+        f(0, v as f64);
         for (op, choice) in space.digits(local) {
-            let at = 1 + 8 * op;
-            raw[at..at + 8].copy_from_slice(&self.slots[v][op].raw(space.per_op[op].code(choice)));
+            let values = self.slots[v][op].raw(space.per_op[op].code(choice));
+            for (k, x) in values.into_iter().enumerate() {
+                f(1 + 8 * op + k, x);
+            }
         }
-        self.feature_space.binarize_into(&raw, out);
+        for unused in 1 + 8 * space.per_op.len()..1 + 8 * self.max_ops {
+            f(unused, 0.0);
+        }
     }
 }
 

@@ -5,11 +5,18 @@
 //! surrogate ("feature binarization"). Integer parameters such as unroll
 //! factors stay numeric.
 //!
-//! The candidate pool the surrogate scores is kept transposed
-//! ([`TransposedPool`]): per binarized column, one bitset over pool rows
-//! for each way a split `x < threshold` can cut that column's values. The
-//! forest then partitions the pool instead of walking it row by row (see
-//! [`crate::forest`]).
+//! The candidate pool the surrogate scores, and the training set it is
+//! fit on, are kept transposed ([`TransposedPool`]): per binarized column,
+//! one bitset over the rows for each way a split `x < threshold` can cut
+//! that column's values. The forest then grows and scores by partitioning
+//! row sets instead of walking rows one by one (see [`crate::forest`]).
+//!
+//! A pool is transposed from its rows ([`TransposedPool::from_rows`]) or
+//! from its value classes ([`TransposedPool::from_classes`]): per column,
+//! the bitset of the rows holding each value. A caller that knows each
+//! row's raw parameter values writes the bitsets of the rows by raw value
+//! and lets [`FeatureSpace::binarize_classes`] turn them into the same
+//! columns, without building a row.
 
 /// One tunable parameter of a configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -107,6 +114,56 @@ impl FeatureSpace {
             }
         }
     }
+
+    /// Binarizes a pool of `n_rows` rows given by raw value instead of by
+    /// row. `raw[j]` holds feature `j`'s rows by value: the bitset of the
+    /// rows whose raw value is `v` at words `v * words..(v + 1) * words`,
+    /// where `words = n_rows.div_ceil(64)`, so every raw value is a small
+    /// non-negative integer (a category index, or an integer parameter's
+    /// value); a value past the end of `raw[j]` holds no row. Returns each
+    /// binarized column's value classes, `(value, rows)`, in the order of
+    /// [`FeatureSpace::binarize`]'s columns: the columns
+    /// [`TransposedPool::from_classes`] turns into the pool
+    /// [`TransposedPool::from_rows`] builds from the binarized rows.
+    pub fn binarize_classes(&self, n_rows: usize, raw: &[Vec<u64>]) -> Vec<Vec<(f64, Vec<u64>)>> {
+        assert_eq!(raw.len(), self.features.len(), "raw class count");
+        let words = n_rows.div_ceil(64);
+        let every = every_row(n_rows);
+        let mut columns = Vec::with_capacity(self.width());
+        for (f, by_value) in self.features.iter().zip(raw) {
+            let mut by_value = by_value.chunks_exact(words.max(1));
+            match f {
+                Feature::Categorical { cardinality, name } => {
+                    assert!(
+                        by_value.len() <= *cardinality,
+                        "category out of range for {name}"
+                    );
+                    for _ in 0..*cardinality {
+                        let ones = by_value.next().unwrap_or(&[]);
+                        let mut zeros = every.clone();
+                        zeros.iter_mut().zip(ones).for_each(|(z, o)| *z &= !o);
+                        columns.push(vec![(0.0, zeros), (1.0, ones.to_vec())]);
+                    }
+                }
+                Feature::Integer { min, max, .. } => {
+                    let span = (max - min).max(1e-12);
+                    let class =
+                        |(v, rows): (usize, &[u64])| ((v as f64 - min) / span, rows.to_vec());
+                    columns.push(by_value.enumerate().map(class).collect());
+                }
+            }
+        }
+        columns
+    }
+}
+
+/// The bitset of every row of an `n_rows`-row pool.
+pub(crate) fn every_row(n_rows: usize) -> Vec<u64> {
+    let mut every = vec![!0u64; n_rows.div_ceil(64)];
+    if !n_rows.is_multiple_of(64) {
+        every[n_rows / 64] = (1 << (n_rows % 64)) - 1;
+    }
+    every
 }
 
 /// A pool of binarized rows stored column by column, as bit partitions of
@@ -119,7 +176,7 @@ impl FeatureSpace {
 /// threshold, so a column with NaN rows also keeps the bitset of its
 /// non-NaN rows. A column costs `m - 1` bitsets of `n_rows / 8` bytes, which
 /// suits binarized parameters: one-hot categories and short integer ranges.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TransposedPool {
     n_rows: usize,
     /// Words per row bitset.
@@ -127,7 +184,7 @@ pub struct TransposedPool {
     columns: Vec<Column>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Column {
     /// Distinct non-NaN values, ascending.
     values: Vec<f64>,
@@ -185,12 +242,34 @@ impl TransposedPool {
             seen = r + 1;
         }
         assert_eq!(seen, n_rows, "row count mismatch");
+        let every = every_row(n_rows);
+        for col in &mut classes {
+            let mut first = every.clone();
+            for (_, rows) in &col[1..] {
+                first.iter_mut().zip(rows).for_each(|(f, r)| *f &= !r);
+            }
+            col[0].1 = first;
+        }
+        TransposedPool::from_classes(n_rows, classes)
+    }
+
+    /// Transposes a pool of `n_rows` rows given column by column as its
+    /// value classes: each `(value, rows)` pair holds a value and the
+    /// bitset (`n_rows.div_ceil(64)` words) of the rows holding it. A
+    /// column's classes partition its rows, in any order, and hold distinct
+    /// values (`==`, with every NaN one value); a class with no row is
+    /// dropped.
+    pub fn from_classes(
+        n_rows: usize,
+        columns: impl IntoIterator<Item = Vec<(f64, Vec<u64>)>>,
+    ) -> Self {
+        let words = n_rows.div_ceil(64);
         TransposedPool {
             n_rows,
             words,
-            columns: classes
+            columns: columns
                 .into_iter()
-                .map(|col| Column::cumulative(col, n_rows))
+                .map(|col| Column::cumulative(col, words))
                 .collect(),
         }
     }
@@ -222,21 +301,52 @@ impl TransposedPool {
             None => Left::All,
         }
     }
+
+    /// The least and the greatest non-NaN value of column `feature` over
+    /// `set`, a bitset of `n` rows, or `(∞, -∞)` when every one is NaN.
+    /// Read from the cuts: the least value is the first whose cut holds a
+    /// row of the set, the greatest the first whose cut holds all of them.
+    pub(crate) fn range_in(&self, feature: usize, set: &[u64], n: usize) -> (f64, f64) {
+        let col = &self.columns[feature];
+        let Some(&top) = col.values.last() else {
+            return (f64::INFINITY, f64::NEG_INFINITY);
+        };
+        let within = |cut: &[u64]| -> usize {
+            set.iter()
+                .zip(cut)
+                .map(|(&s, &c)| (s & c).count_ones() as usize)
+                .sum()
+        };
+        let mut cuts = col.below.chunks_exact(self.words);
+        // A column with NaN rows ends on the cut of its non-NaN rows.
+        let live = if col.below.len() == col.values.len() * self.words {
+            cuts.next_back().map_or(0, within)
+        } else {
+            n
+        };
+        if live == 0 {
+            return (f64::INFINITY, f64::NEG_INFINITY);
+        }
+        let mut lo = None;
+        for (k, cut) in cuts.enumerate() {
+            let below = within(cut);
+            if below > 0 && lo.is_none() {
+                lo = Some(col.values[k]);
+            }
+            if below == live {
+                return (lo.unwrap_or(top), col.values[k]);
+            }
+        }
+        (lo.unwrap_or(top), top)
+    }
 }
 
 impl Column {
-    /// Fills in the first value class of a column of `n_rows` rows, sorts
-    /// the classes and accumulates their bitsets into the `x < d_k` cuts.
-    fn cumulative(mut classes: Vec<(f64, Vec<u64>)>, n_rows: usize) -> Column {
-        let words = n_rows.div_ceil(64);
-        let mut first = vec![!0u64; words];
-        if !n_rows.is_multiple_of(64) {
-            first[words - 1] = (1 << (n_rows % 64)) - 1;
-        }
-        for (_, rows) in &classes[1..] {
-            first.iter_mut().zip(rows).for_each(|(f, r)| *f &= !r);
-        }
-        classes[0].1 = first;
+    /// Sorts a column's value classes (each with the bitset of the rows
+    /// holding it, `words` words) and accumulates their bitsets into the
+    /// `x < d_k` cuts.
+    fn cumulative(mut classes: Vec<(f64, Vec<u64>)>, words: usize) -> Column {
+        classes.retain(|(_, rows)| rows.iter().any(|&w| w != 0));
         let nan = classes.iter().position(|(v, _)| v.is_nan());
         if let Some(k) = nan {
             classes.swap_remove(k);

@@ -8,6 +8,7 @@
 //! fate, which keeps parallel searches bit-identical to serial ones even
 //! under injection.
 
+use crate::binarize::TransposedPool;
 use crate::search::{EvalFault, ParallelEvaluator};
 
 /// What the plan decided to do to one configuration.
@@ -105,8 +106,9 @@ pub fn unit(seed: u64, id: u128) -> f64 {
 }
 
 /// Wraps an evaluator and applies a [`FaultPlan`] to every `try_evaluate`
-/// call. Features pass through untouched (featurization is cheap and
-/// deterministic; the faults model the expensive measurement step).
+/// call. Features and the transposed pool pass through untouched
+/// (featurization is cheap and deterministic; the faults model the
+/// expensive measurement step).
 pub struct FaultyEvaluator<E> {
     inner: E,
     plan: FaultPlan,
@@ -129,6 +131,10 @@ impl<E: ParallelEvaluator> FaultyEvaluator<E> {
 impl<E: ParallelEvaluator> ParallelEvaluator for FaultyEvaluator<E> {
     fn features(&self, id: u128) -> Vec<f64> {
         self.inner.features(id)
+    }
+
+    fn transposed_pool(&self, ids: &[u128]) -> Option<TransposedPool> {
+        self.inner.transposed_pool(ids)
     }
 
     fn evaluate(&self, id: u128) -> f64 {

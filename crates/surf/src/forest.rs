@@ -8,17 +8,25 @@
 //! uniformly random cut-point between its node-local min and max, and the
 //! split with the best variance reduction wins.
 //!
-//! A candidate pool is scored by partition, as QuickScorer (Lucchese et
-//! al., SIGIR 2015) scores ranking forests: [`ExtraTrees::predict_rows`]
-//! pushes the bitset of the selected pool rows down each tree of a
-//! [`TransposedPool`]. At a split `x[f] < threshold`, the left child gets
-//! `S & mask` and the right child `S & !mask`, where `mask` is the pool's
-//! bitset of rows below the threshold, and an empty side is skipped. At a
-//! leaf, the leaf's value is added to every row of the set. A pass costs one
-//! sweep over the pool's words per split, not one tree walk per row.
-//! [`ExtraTrees::predict`] walks one row and is the scalar reference.
+//! Both fitting and scoring work on row bitsets over a [`TransposedPool`],
+//! as QuickScorer (Lucchese et al., SIGIR 2015) scores ranking forests. A
+//! split `x[f] < threshold` of a row set `S` sends `S & mask` left and
+//! `S & !mask` right, where `mask` is the pool's bitset of rows below the
+//! threshold, so a NaN goes right on every path.
+//!
+//! - [`ExtraTrees::fit`] transposes the training rows and grows each node
+//!   as the bitset of its rows. A drawn column's min and max at the node
+//!   come from its cuts, so a column that is constant there (most drawn
+//!   columns, since binarized columns are mostly one-hot) costs a few ANDs.
+//!   Only a split that leaves both sides non-empty reads the node's
+//!   targets, each side in row order.
+//! - [`ExtraTrees::predict_rows`] pushes the bitset of the selected pool
+//!   rows down each tree, skips an empty side, and adds each leaf's value
+//!   to every row of the set that reaches it: one sweep over the pool's
+//!   words per split, not one tree walk per row. [`ExtraTrees::predict`]
+//!   walks one row and is the scalar reference.
 
-use crate::binarize::{Left, TransposedPool};
+use crate::binarize::{every_row, Left, TransposedPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,7 +110,7 @@ impl Tree {
         loop {
             match &self.nodes[at] {
                 Node::Leaf { value } => {
-                    for_each_row(&sets[set..set + words], |r| sums[r] += *value);
+                    rows(&sets[set..set + words]).for_each(|r| sums[r] += *value);
                     return;
                 }
                 Node::Split {
@@ -142,14 +150,32 @@ impl Tree {
     }
 }
 
-/// Calls `f` with the index of every set bit of `set`, in ascending order.
-fn for_each_row(set: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &bits) in set.iter().enumerate() {
-        let mut b = bits;
-        while b != 0 {
-            f(w * 64 + b.trailing_zeros() as usize);
-            b &= b - 1;
+/// The indices of the set bits of a bitset, in ascending order.
+struct Rows<'a> {
+    set: &'a [u64],
+    word: usize,
+    bits: u64,
+}
+
+fn rows(set: &[u64]) -> Rows<'_> {
+    Rows {
+        set,
+        word: 0,
+        bits: set.first().copied().unwrap_or(0),
+    }
+}
+
+impl Iterator for Rows<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.set.get(self.word)?;
         }
+        let r = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(r)
     }
 }
 
@@ -165,193 +191,192 @@ pub struct ExtraTrees {
     importance: Vec<f64>,
 }
 
-/// Reusable per-tree buffers for `grow`: without these every candidate
-/// split allocates two partition vectors, which dominates fit time.
-#[derive(Default)]
-struct GrowScratch {
+/// Mean target of the `n` rows of `set`: an iterator sum in row order,
+/// which starts from -0.0, so a leaf of -0.0 targets keeps its sign.
+fn mean(ys: &[f64], set: &[u64], n: usize) -> f64 {
+    rows(set).map(|i| ys[i]).sum::<f64>() / n as f64
+}
+
+fn sse(ys: &[f64], set: &[u64], n: usize) -> f64 {
+    let m = mean(ys, set, n);
+    rows(set).map(|i| (ys[i] - m).powi(2)).sum()
+}
+
+/// One tree's growth over the training set `xs`, transposed: a node is the
+/// bitset of its rows, kept in `sets` as [`Tree::score`] keeps them (the
+/// root at offset 0, then two slots per depth for the sides of a split).
+struct Grower<'a> {
+    xs: &'a TransposedPool,
+    ys: &'a [f64],
+    params: &'a ForestParams,
+    rng: StdRng,
+    nodes: Vec<Node>,
+    importance: Vec<f64>,
+    /// Column draw order, reused across nodes.
     cand: Vec<usize>,
-    left_ys: Vec<f64>,
-    right_ys: Vec<f64>,
+    sets: Vec<u64>,
+    /// The sides of the candidate split being scored.
+    left: Vec<u64>,
+    right: Vec<u64>,
 }
 
-/// Column-major view of the training set, built once per fit so the
-/// per-candidate min/max and partition passes scan one contiguous column
-/// instead of chasing a row pointer per sample.
-struct Cols<'a> {
-    data: &'a [f64],
-    n: usize,
-    d: usize,
-}
-
-impl Cols<'_> {
-    #[inline(always)]
-    fn get(&self, i: usize, f: usize) -> f64 {
-        self.data[f * self.n + i]
-    }
-}
-
-fn mean(ys: &[f64], idx: &[usize]) -> f64 {
-    idx.iter().map(|&i| ys[i]).sum::<f64>() / idx.len() as f64
-}
-
-fn sse(ys: &[f64], idx: &[usize]) -> f64 {
-    let m = mean(ys, idx);
-    idx.iter().map(|&i| (ys[i] - m).powi(2)).sum()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn grow(
-    xs: &Cols<'_>,
-    ys: &[f64],
-    idx: Vec<usize>,
-    nodes: &mut Vec<Node>,
-    params: &ForestParams,
-    rng: &mut StdRng,
-    importance: &mut [f64],
-    scratch: &mut GrowScratch,
-) -> usize {
-    let n_features = xs.d;
-    let make_leaf = |nodes: &mut Vec<Node>, idx: &[usize]| {
-        nodes.push(Node::Leaf {
-            value: mean(ys, idx),
-        });
-        nodes.len() - 1
-    };
-
-    if idx.len() < params.min_samples_leaf.max(2) {
-        return make_leaf(nodes, &idx);
-    }
-    let first_y = ys[idx[0]];
-    if idx.iter().all(|&i| (ys[i] - first_y).abs() < 1e-15) {
-        return make_leaf(nodes, &idx);
-    }
-
-    // Candidate features with non-constant values at this node.
-    let k = params.k_features.unwrap_or(n_features).min(n_features);
-    scratch.cand.clear();
-    scratch.cand.extend(0..n_features);
-    // Partial Fisher–Yates to draw k distinct features.
-    for i in 0..k.min(n_features) {
-        let j = rng.gen_range(i..n_features);
-        scratch.cand.swap(i, j);
-    }
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-    let parent_sse = sse(ys, &idx);
-    for ci in 0..k {
-        let f = scratch.cand[ci];
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &i in &idx {
-            lo = lo.min(xs.get(i, f));
-            hi = hi.max(xs.get(i, f));
+impl<'a> Grower<'a> {
+    fn new(xs: &'a TransposedPool, ys: &'a [f64], params: &'a ForestParams, rng: StdRng) -> Self {
+        let words = xs.words();
+        Grower {
+            xs,
+            ys,
+            params,
+            rng,
+            nodes: Vec::new(),
+            importance: vec![0.0; xs.width()],
+            cand: Vec::new(),
+            sets: every_row(xs.n_rows()),
+            left: vec![0; words],
+            right: vec![0; words],
         }
-        if hi - lo < 1e-12 {
-            continue;
+    }
+
+    /// Grows the subtree of the rows of the set at offset `set`, at depth
+    /// `depth`, and returns the index of its root node.
+    fn grow(&mut self, set: usize, depth: usize) -> usize {
+        let words = self.xs.words();
+        let n: usize = self.sets[set..set + words]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        let split = if n < self.params.min_samples_leaf.max(2) {
+            None
+        } else {
+            self.best_split(set, n)
+        };
+        let Some((feature, threshold, gain, mask)) = split else {
+            self.nodes.push(Node::Leaf {
+                value: mean(self.ys, &self.sets[set..set + words], n),
+            });
+            return self.nodes.len() - 1;
+        };
+        self.importance[feature] += gain.max(0.0);
+        // The sides: the rows below the threshold, and every other row of
+        // the node (a NaN row goes right, as `predict` sends it).
+        let slots = (2 * depth + 1) * words;
+        if self.sets.len() < slots + 2 * words {
+            self.sets.resize(slots + 2 * words, 0);
         }
-        let threshold = rng.gen_range(lo..hi).max(lo + (hi - lo) * 1e-9);
-        // One partition pass gathers each side's targets contiguously and
-        // accumulates their sums in the same left-to-right order `mean`
-        // would, so the means — and the sse passes below — are bit-identical
-        // to the separate filter+mean+sse formulation.
-        scratch.left_ys.clear();
-        scratch.right_ys.clear();
-        let (mut sum_l, mut sum_r) = (0.0f64, 0.0f64);
-        for &i in &idx {
-            let y = ys[i];
-            if xs.get(i, f) < threshold {
-                scratch.left_ys.push(y);
-                sum_l += y;
-            } else {
-                scratch.right_ys.push(y);
-                sum_r += y;
+        let (parent, children) = self.sets.split_at_mut(slots);
+        let (l, r) = children[..2 * words].split_at_mut(words);
+        for (((l, r), &s), &m) in l.iter_mut().zip(r).zip(&parent[set..]).zip(mask) {
+            *l = s & m;
+            *r = s & !m;
+        }
+        let at = self.nodes.len();
+        self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
+        let left = self.grow(slots, depth + 1);
+        let right = self.grow(slots + words, depth + 1);
+        self.nodes[at] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        at
+    }
+
+    /// The best of `k_features` random splits of the `n` rows of the set at
+    /// offset `set`: `(feature, threshold, variance reduction, the pool's
+    /// bitset of rows below the threshold)`, or `None` when the node's
+    /// targets are all equal, or every drawn column is constant at the node
+    /// or its cut leaves a side empty.
+    fn best_split(&mut self, set: usize, n: usize) -> Option<(usize, f64, f64, &'a [u64])> {
+        let xs = self.xs;
+        let ys = self.ys;
+        let node = &self.sets[set..set + xs.words()];
+        let first_y = ys[rows(node).next()?];
+        if rows(node).all(|i| (ys[i] - first_y).abs() < 1e-15) {
+            return None;
+        }
+        let n_features = xs.width();
+        let k = self.params.k_features.unwrap_or(n_features).min(n_features);
+        self.cand.clear();
+        self.cand.extend(0..n_features);
+        // Partial Fisher–Yates to draw k distinct features.
+        for i in 0..k {
+            let j = self.rng.gen_range(i..n_features);
+            self.cand.swap(i, j);
+        }
+        let parent_sse = sse(ys, node, n);
+        let mut best: Option<(usize, f64, f64, &'a [u64])> = None;
+        for &f in &self.cand[..k] {
+            let (lo, hi) = xs.range_in(f, node, n);
+            if hi - lo < 1e-12 {
+                continue;
+            }
+            let threshold = self.rng.gen_range(lo..hi).max(lo + (hi - lo) * 1e-9);
+            let Left::Rows(mask) = xs.left_of(f, threshold) else {
+                // No row, or every row, is below the threshold.
+                continue;
+            };
+            let (left, right) = (&mut self.left, &mut self.right);
+            let mut n_l = 0;
+            for (((l, r), &s), &m) in left.iter_mut().zip(right.iter_mut()).zip(node).zip(mask) {
+                *l = s & m;
+                *r = s & !m;
+                n_l += l.count_ones() as usize;
+            }
+            if n_l == 0 || n_l == n {
+                continue;
+            }
+            // The forest's bits depend on the float order: each side's sum
+            // runs in row order from 0.0, its sum of squares in row order.
+            let (mut sum_l, mut sum_r) = (0.0f64, 0.0f64);
+            for i in rows(left) {
+                sum_l += ys[i];
+            }
+            for i in rows(right) {
+                sum_r += ys[i];
+            }
+            let m_l = sum_l / n_l as f64;
+            let m_r = sum_r / (n - n_l) as f64;
+            let sse_l: f64 = rows(left).map(|i| (ys[i] - m_l).powi(2)).sum();
+            let sse_r: f64 = rows(right).map(|i| (ys[i] - m_r).powi(2)).sum();
+            let score = parent_sse - sse_l - sse_r;
+            if best.is_none_or(|(_, _, s, _)| score > s) {
+                best = Some((f, threshold, score, mask));
             }
         }
-        if scratch.left_ys.is_empty() || scratch.left_ys.len() == idx.len() {
-            continue;
-        }
-        let m_l = sum_l / scratch.left_ys.len() as f64;
-        let m_r = sum_r / scratch.right_ys.len() as f64;
-        let sse_l: f64 = scratch.left_ys.iter().map(|&y| (y - m_l).powi(2)).sum();
-        let sse_r: f64 = scratch.right_ys.iter().map(|&y| (y - m_r).powi(2)).sum();
-        let score = parent_sse - sse_l - sse_r;
-        if best.map(|(_, _, s)| score > s).unwrap_or(true) {
-            best = Some((f, threshold, score));
-        }
+        best
     }
-
-    let Some((feature, threshold, gain)) = best else {
-        return make_leaf(nodes, &idx);
-    };
-    importance[feature] += gain.max(0.0);
-    let left_idx: Vec<usize> = idx
-        .iter()
-        .copied()
-        .filter(|&i| xs.get(i, feature) < threshold)
-        .collect();
-    let right_idx: Vec<usize> = idx
-        .iter()
-        .copied()
-        .filter(|&i| xs.get(i, feature) >= threshold)
-        .collect();
-
-    let at = nodes.len();
-    nodes.push(Node::Leaf { value: 0.0 }); // placeholder
-    let left = grow(xs, ys, left_idx, nodes, params, rng, importance, scratch);
-    let right = grow(xs, ys, right_idx, nodes, params, rng, importance, scratch);
-    nodes[at] = Node::Split {
-        feature,
-        threshold,
-        left,
-        right,
-    };
-    at
 }
 
 impl ExtraTrees {
     /// Fits the forest on binarized configurations `xs` with targets `ys`.
     ///
-    /// Trees are grown in parallel on the rayon pool: each tree draws its
-    /// own rng from `seed + tree_index`, so the forest is identical at any
-    /// thread count. Per-tree importance contributions are summed in tree
-    /// order, keeping the floating-point reduction scheduling-independent.
+    /// The rows are transposed once into a [`TransposedPool`], and every
+    /// tree grows on row bitsets: a drawn column's range at a node comes
+    /// from its cuts, a split is one AND with the cut below the threshold,
+    /// and only a split that leaves both sides non-empty reads the node's
+    /// targets. Trees are grown in parallel on the rayon pool: each tree
+    /// draws its own rng from `seed + tree_index`, so the forest is
+    /// identical at any thread count. Per-tree importance contributions are
+    /// summed in tree order, keeping the floating-point reduction
+    /// scheduling-independent.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: ForestParams) -> Self {
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
         assert!(!xs.is_empty(), "cannot fit on an empty training set");
         let n_features = xs[0].len();
-        assert!(xs.iter().all(|x| x.len() == n_features));
-        // Transpose once; every tree's split passes then scan contiguous
-        // columns (values and visit order unchanged, so trees are
-        // bit-identical to the row-major layout).
-        let n = xs.len();
-        let mut colmaj = vec![0.0; n * n_features];
-        for (i, x) in xs.iter().enumerate() {
-            for (f, &v) in x.iter().enumerate() {
-                colmaj[f * n + i] = v;
-            }
-        }
-        let cols = Cols {
-            data: &colmaj,
-            n,
-            d: n_features,
-        };
+        let pool = TransposedPool::from_rows(xs.len(), xs);
         let tree_ids: Vec<u64> = (0..params.n_trees as u64).collect();
         let grown: Vec<(Tree, Vec<f64>)> = rayon::par_map_slice(&tree_ids, |&t| {
-            let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(t));
-            let mut nodes = Vec::new();
-            let mut importance = vec![0.0; n_features];
-            let mut scratch = GrowScratch::default();
-            let root = grow(
-                &cols,
-                ys,
-                (0..n).collect(),
-                &mut nodes,
-                &params,
-                &mut rng,
-                &mut importance,
-                &mut scratch,
-            );
+            let rng = StdRng::seed_from_u64(params.seed.wrapping_add(t));
+            let mut grower = Grower::new(&pool, ys, &params, rng);
+            let root = grower.grow(0, 0);
             debug_assert_eq!(root, 0);
-            (Tree { nodes }, importance)
+            (
+                Tree {
+                    nodes: grower.nodes,
+                },
+                grower.importance,
+            )
         });
         let mut trees = Vec::with_capacity(params.n_trees);
         let mut importance = vec![0.0; n_features];
@@ -622,6 +647,22 @@ mod tests {
     }
 
     #[test]
+    fn nan_training_rows_go_right_at_a_split() {
+        // The one split sends 0.0 left and 1.0 and NaN right, as `predict`
+        // routes them; the right leaf then averages both targets.
+        let xs: Vec<Vec<f64>> = [0.0, 0.0, 1.0, f64::NAN].iter().map(|&v| vec![v]).collect();
+        let params = ForestParams {
+            n_trees: 1,
+            k_features: None,
+            ..ForestParams::default()
+        };
+        let model = ExtraTrees::fit(&xs, &[0.0, 0.0, 10.0, 100.0], params);
+        assert_eq!(model.predict(&[f64::NAN]), 55.0);
+        assert_eq!(model.predict(&[1.0]), 55.0);
+        assert_eq!(model.predict(&[0.0]), 0.0);
+    }
+
+    #[test]
     fn negative_zero_targets_predict_positive_zero_on_both_paths() {
         // Each leaf's mean of -0.0 targets is -0.0; both paths sum the
         // trees from 0.0, so both predict +0.0.
@@ -709,6 +750,117 @@ mod tests {
                 .for_each(|x| x[f] = pair[usize::from(rng.gen_bool(0.5))]);
         }
         (xs, ys, pool)
+    }
+
+    /// A NaN-free training set drawn from `seed`, 1–150 rows, with the
+    /// column kinds binarized features produce and a few hostile ones:
+    /// one-hot groups, 11-level columns, columns mixing 0.0 and -0.0,
+    /// constant columns, columns whose values lie under 1e-12 apart and
+    /// continuous columns. Targets tie often and include both zeros.
+    fn hostile_training_set(seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=150usize);
+        let mut cols: Vec<Vec<f64>> = Vec::new();
+        for _ in 0..rng.gen_range(1..=10) {
+            match rng.gen_range(0..6) {
+                0 => {
+                    let card = rng.gen_range(2..=6usize);
+                    let hot: Vec<usize> = (0..n).map(|_| rng.gen_range(0..card)).collect();
+                    for c in 0..card {
+                        cols.push(hot.iter().map(|&h| f64::from(u8::from(h == c))).collect());
+                    }
+                }
+                1 => cols.push(
+                    (0..n)
+                        .map(|_| rng.gen_range(0..=10) as f64 / 10.0)
+                        .collect(),
+                ),
+                2 => {
+                    let values = [0.0, -0.0, [1.0, -1.0, 0.0][rng.gen_range(0..3)]];
+                    cols.push((0..n).map(|_| values[rng.gen_range(0..3)]).collect());
+                }
+                3 => cols.push(vec![[0.0, -0.0, 0.5, 1.0][rng.gen_range(0..4)]; n]),
+                4 => {
+                    let base = rng.gen_range(-1.0..1.0);
+                    let far = if rng.gen_bool(0.5) { base + 0.25 } else { base };
+                    let values = [base, base + 3e-13, base + 7e-13, far];
+                    cols.push((0..n).map(|_| values[rng.gen_range(0..4)]).collect());
+                }
+                _ => cols.push((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()),
+            }
+        }
+        let xs = (0..n)
+            .map(|i| cols.iter().map(|c| c[i]).collect())
+            .collect();
+        let ys = (0..n)
+            .map(|_| match rng.gen_range(0..5) {
+                0 => -0.0,
+                1 => 0.0,
+                2 => [1.0, 2.0][rng.gen_range(0..2)],
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect();
+        (xs, ys)
+    }
+
+    /// FNV-1a over every node of every tree (feature, threshold bits,
+    /// children, leaf value bits) and the importance bits.
+    fn forest_digest(model: &ExtraTrees, mut h: u64) -> u64 {
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100000001B3);
+            }
+        };
+        for tree in &model.trees {
+            eat(tree.nodes.len() as u64);
+            for node in &tree.nodes {
+                match node {
+                    Node::Leaf { value } => {
+                        eat(0);
+                        eat(value.to_bits());
+                    }
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        eat(1);
+                        eat(*feature as u64);
+                        eat(threshold.to_bits());
+                        eat(*left as u64);
+                        eat(*right as u64);
+                    }
+                }
+            }
+        }
+        for v in &model.importance {
+            eat(v.to_bits());
+        }
+        h
+    }
+
+    /// Pins every tree and importance bit of forests fit on 200 hostile
+    /// NaN-free training sets with random `k_features` and
+    /// `min_samples_leaf`. A change here means some fit moved; that is a
+    /// regression, not a constant to re-capture.
+    #[test]
+    fn forest_digest_is_pinned() {
+        let mut h = 0xCBF29CE484222325;
+        for seed in 0..200u64 {
+            let (xs, ys) = hostile_training_set(seed);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let width = xs[0].len();
+            let params = ForestParams {
+                n_trees: rng.gen_range(1..=8),
+                min_samples_leaf: rng.gen_range(1..=4),
+                k_features: rng.gen_bool(0.7).then(|| rng.gen_range(1..=width)),
+                seed,
+            };
+            h = forest_digest(&ExtraTrees::fit(&xs, &ys, params), h);
+        }
+        assert_eq!(h, 0x4e38_aa6c_cb1d_a997, "forest digest {h:#018x}");
     }
 
     proptest::proptest! {

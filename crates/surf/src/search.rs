@@ -18,7 +18,10 @@
 //! modes. The pool is kept transposed ([`TransposedPool`]), and each
 //! round's forest partitions the set of remaining rows split by split
 //! ([`ExtraTrees::predict_rows`]), so a pass costs a few ANDs per split
-//! instead of a tree walk per row.
+//! instead of a tree walk per row. An evaluator that can write that pool
+//! from its configuration encoding hands it over through
+//! [`ParallelEvaluator::transposed_pool`], and the search then asks for
+//! features of the configurations it measures only.
 //!
 //! ## Fault tolerance
 //!
@@ -214,6 +217,16 @@ pub trait ParallelEvaluator: Sync {
     fn try_evaluate(&self, id: u128) -> Result<f64, EvalFault> {
         Ok(self.evaluate(id))
     }
+    /// The pool of `ids` transposed, row `r` being `ids[r]`: exactly the
+    /// pool [`TransposedPool::from_rows`] builds from their
+    /// [`features`](ParallelEvaluator::features), or `None` (the default)
+    /// to have the search featurize every id and transpose the rows. An
+    /// evaluator that can write the pool's bitsets from its configuration
+    /// encoding overrides this; a pool that differs from the rows' moves
+    /// the search's picks.
+    fn transposed_pool(&self, _ids: &[u128]) -> Option<TransposedPool> {
+        None
+    }
 }
 
 /// Blanket impl so wrappers can borrow evaluators.
@@ -226,6 +239,9 @@ impl<E: ParallelEvaluator + ?Sized> ParallelEvaluator for &E {
     }
     fn try_evaluate(&self, id: u128) -> Result<f64, EvalFault> {
         (**self).try_evaluate(id)
+    }
+    fn transposed_pool(&self, ids: &[u128]) -> Option<TransposedPool> {
+        (**self).transposed_pool(ids)
     }
 }
 
@@ -286,11 +302,13 @@ pub fn surf_search_parallel<E: ParallelEvaluator>(
 /// evaluator's calls out over the rayon pool; both modes do the same work
 /// per id and keep index order, so it never changes a result.
 ///
-/// The pool is featurized once, on the first scoring pass (later
-/// `remaining` sets are subsets: the pool only shrinks), in chunks that are
-/// folded into a [`TransposedPool`] as they arrive. Every pass then scores
-/// the selected pool rows by partition on the calling thread,
-/// bit-identical to per-id `model.predict(features(id))`.
+/// The pool is transposed once, on the first scoring pass (later
+/// `remaining` sets are subsets: the pool only shrinks): by the evaluator's
+/// [`ParallelEvaluator::transposed_pool`] when it offers one, else by
+/// featurizing it in chunks that are folded into a [`TransposedPool`] as
+/// they arrive. Every pass then scores the selected pool rows by partition
+/// on the calling thread, bit-identical to per-id
+/// `model.predict(features(id))`.
 struct Evaluations<'a, E> {
     evaluator: &'a E,
     parallel: bool,
@@ -338,10 +356,18 @@ impl<'a, E: ParallelEvaluator> Evaluations<'a, E> {
         let pool = self.pool.get_or_insert_with(|| {
             rows.clear();
             rows.extend(0..remaining.len() as u32);
-            let chunks = remaining.chunks(FEATURIZE_CHUNK);
-            let feats = chunks
-                .flat_map(|ids| map_ids(self.parallel, ids, |id| self.evaluator.features(id)));
-            TransposedPool::from_rows(remaining.len(), feats)
+            let pool = self
+                .evaluator
+                .transposed_pool(remaining)
+                .unwrap_or_else(|| {
+                    let chunks = remaining.chunks(FEATURIZE_CHUNK);
+                    let feats = chunks.flat_map(|ids| {
+                        map_ids(self.parallel, ids, |id| self.evaluator.features(id))
+                    });
+                    TransposedPool::from_rows(remaining.len(), feats)
+                });
+            assert_eq!(pool.n_rows(), remaining.len(), "pool row count");
+            pool
         });
         debug_assert_eq!(rows.len(), remaining.len(), "pool rows out of step");
         let t0 = Instant::now();
@@ -750,6 +776,63 @@ mod tests {
             assert_eq!(features.iter().sum::<usize>(), 590, "parallel: {parallel}");
             assert_eq!(features.iter().filter(|&&c| c == 2).count(), 90);
             assert!(features.iter().all(|&c| c == 1 || c == 2));
+        }
+    }
+
+    #[test]
+    fn an_evaluators_pool_stands_in_for_featurizing_the_pool() {
+        // An evaluator that transposes the pool itself gets the row path's
+        // result, and is asked for the features of measured ids only.
+        struct Pooled {
+            features: Vec<AtomicUsize>,
+            evals: Vec<AtomicUsize>,
+        }
+        impl ParallelEvaluator for Pooled {
+            fn features(&self, id: u128) -> Vec<f64> {
+                self.features[id as usize].fetch_add(1, Ordering::Relaxed);
+                feats(id)
+            }
+            fn evaluate(&self, id: u128) -> f64 {
+                self.evals[id as usize].fetch_add(1, Ordering::Relaxed);
+                landscape(id)
+            }
+            fn transposed_pool(&self, ids: &[u128]) -> Option<TransposedPool> {
+                Some(TransposedPool::from_rows(
+                    ids.len(),
+                    ids.iter().map(|&id| feats(id)),
+                ))
+            }
+        }
+        let loads = |c: &[AtomicUsize]| -> Vec<usize> {
+            c.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        };
+        let bits = |r: &SurfResult| -> Vec<(u128, u64)> {
+            r.evaluated
+                .iter()
+                .map(|&(id, y)| (id, y.to_bits()))
+                .collect()
+        };
+        let pool: Vec<u128> = (0..500).collect();
+        let by_rows = surf_search(&pool, feats, landscape, SurfParams::default()).unwrap();
+        for parallel in [false, true] {
+            let evaluator = Pooled {
+                features: counters(500),
+                evals: counters(500),
+            };
+            let res = if parallel {
+                surf_search_parallel(&pool, &evaluator, SurfParams::default())
+            } else {
+                surf_search_serial(&pool, &evaluator, SurfParams::default())
+            }
+            .unwrap();
+            assert_eq!(bits(&res), bits(&by_rows), "parallel: {parallel}");
+            assert_eq!(res.best_id, by_rows.best_id);
+            assert_eq!(res.best_y.to_bits(), by_rows.best_y.to_bits());
+            assert_eq!(res.batches, by_rows.batches);
+            assert_eq!(res.status, by_rows.status);
+            assert!(res.quarantined.is_empty() && by_rows.quarantined.is_empty());
+            assert_eq!(loads(&evaluator.features), loads(&evaluator.evals));
+            assert_eq!(loads(&evaluator.evals).iter().sum::<usize>(), 100);
         }
     }
 
