@@ -1,5 +1,7 @@
 //! Runs every experiment and prints the full report (the source of
-//! EXPERIMENTS.md's measured numbers).
+//! EXPERIMENTS.md's tables). Every line it prints is deterministic, so two
+//! runs print the same bytes; it writes `BENCH_objective.json` to the
+//! current directory.
 fn main() {
     let params = bench::experiment_params();
     println!("# Barracuda reproduction report\n");
@@ -31,13 +33,6 @@ fn main() {
     match bench::objective_ablation::write_json(&rows, "BENCH_objective.json") {
         Ok(()) => println!("wrote BENCH_objective.json\n"),
         Err(e) => eprintln!("could not write BENCH_objective.json: {e}\n"),
-    }
-    let rows = bench::search_bench::run(params);
-    println!("{}\n", bench::search_bench::render(&rows));
-    println!("{}\n", bench::search_bench::render_hot(&rows));
-    match bench::search_bench::write_json(&rows, "BENCH_search.json") {
-        Ok(()) => println!("wrote BENCH_search.json\n"),
-        Err(e) => eprintln!("could not write BENCH_search.json: {e}\n"),
     }
     let a = bench::figure2::run(params);
     println!("{}", bench::figure2::render(&a));

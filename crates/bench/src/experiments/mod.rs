@@ -5,7 +5,6 @@ pub mod figure2;
 pub mod figure3;
 pub mod objective_ablation;
 pub mod pruning;
-pub mod search_bench;
 pub mod search_compare;
 pub mod search_stats;
 pub mod table2;

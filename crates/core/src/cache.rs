@@ -6,8 +6,10 @@
 //! re-reads the first one's, and replays and decomposed tuning reuse the
 //! per-op outcomes joint tuning computed. [`EvalCache`] memoizes
 //! whole-configuration times and per-op outcomes behind sharded `RwLock`
-//! maps so concurrent evaluator threads stay off each other's locks, and
-//! counts each layer's hits and misses for the search statistics.
+//! maps so concurrent evaluator threads stay off each other's locks. It
+//! counts each layer's hits and misses over every lookup, and each lookup
+//! counts in its reader's own [`Traffic`] as well, so searches that share
+//! one cache each report only their own traffic in their statistics.
 //!
 //! Keys carry a caller-chosen `salt` alongside the configuration id, so one
 //! cache can serve several distinct keyspaces at once (e.g. per-statement
@@ -52,20 +54,26 @@ impl<V: Clone> ShardedMap<V> {
             .cloned()
     }
 
-    /// Inserts `v` unless the key is present, and reports whether it
-    /// added the key: a thread that lost a race to compute it keeps the
-    /// winner's entry (both computed the same value).
-    fn insert(&self, salt: u64, id: u128, v: V) -> bool {
+    /// The value of `(salt, id)`, computed outside any lock when absent,
+    /// and whether the lookup hit. Only the insert that adds the key
+    /// misses: a thread that computed the key alongside it keeps the
+    /// winner's entry (both computed the same value) and counts a hit.
+    fn get_or_compute(&self, salt: u64, id: u128, compute: impl FnOnce() -> V) -> (V, bool) {
+        if let Some(v) = self.get(salt, id) {
+            return (v, true);
+        }
+        let v = compute();
         let mut shard = self.shards[shard_of(salt, id)]
             .write()
             .unwrap_or_else(|p| p.into_inner());
-        match shard.entry((salt, id)) {
-            Entry::Occupied(_) => false,
+        let hit = match shard.entry((salt, id)) {
+            Entry::Occupied(_) => true,
             Entry::Vacant(e) => {
-                e.insert(v);
-                true
+                e.insert(v.clone());
+                false
             }
-        }
+        };
+        (v, hit)
     }
 
     fn len(&self) -> usize {
@@ -91,8 +99,7 @@ pub enum OpOutcome {
 }
 
 /// Wall-time spent in each stage of the evaluation hot path, accumulated
-/// across threads. Nanosecond sums, monotone; report deltas via
-/// [`HotPathSnapshot::delta`].
+/// across threads. Nanosecond sums, monotone.
 #[derive(Default)]
 pub struct HotPathStats {
     decode_ns: AtomicU64,
@@ -137,16 +144,45 @@ pub struct HotPathSnapshot {
     pub predict_ns: u64,
 }
 
-impl HotPathSnapshot {
-    /// Stage times elapsed since `earlier` (saturating).
-    pub fn delta(&self, earlier: &HotPathSnapshot) -> HotPathSnapshot {
-        HotPathSnapshot {
-            decode_ns: self.decode_ns.saturating_sub(earlier.decode_ns),
-            map_ns: self.map_ns.saturating_sub(earlier.map_ns),
-            sim_ns: self.sim_ns.saturating_sub(earlier.sim_ns),
-            predict_ns: self.predict_ns.saturating_sub(earlier.predict_ns),
-        }
+/// Memo traffic: lookups of each layer, each a hit or a miss by the rule
+/// of [`EvalCache::time`], and the hot-path stage times. An [`EvalCache`]
+/// keeps one over every lookup made through it; a reader keeps its own over
+/// the lookups it makes.
+#[derive(Default)]
+pub struct Traffic {
+    time_hits: AtomicUsize,
+    time_misses: AtomicUsize,
+    op_hits: AtomicUsize,
+    op_misses: AtomicUsize,
+    hot: HotPathStats,
+}
+
+impl Traffic {
+    /// `(hits, misses)` over whole-configuration times.
+    pub(crate) fn time_stats(&self) -> (usize, usize) {
+        (
+            self.time_hits.load(Ordering::Relaxed),
+            self.time_misses.load(Ordering::Relaxed),
+        )
     }
+
+    /// `(hits, misses)` over per-op outcomes.
+    pub(crate) fn op_stats(&self) -> (usize, usize) {
+        (
+            self.op_hits.load(Ordering::Relaxed),
+            self.op_misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Hot-path stage timers.
+    pub(crate) fn hot(&self) -> &HotPathStats {
+        &self.hot
+    }
+}
+
+/// Counts one lookup, `hit` or not, in `hits` or `misses`.
+fn count(hit: bool, hits: &AtomicUsize, misses: &AtomicUsize) {
+    if hit { hits } else { misses }.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Memo cache for whole-configuration simulated times and per-op
@@ -161,11 +197,7 @@ impl HotPathSnapshot {
 pub struct EvalCache {
     times: ShardedMap<f64>,
     ops: ShardedMap<OpOutcome>,
-    time_hits: AtomicUsize,
-    time_misses: AtomicUsize,
-    op_hits: AtomicUsize,
-    op_misses: AtomicUsize,
-    hot: HotPathStats,
+    traffic: Traffic,
 }
 
 impl Default for EvalCache {
@@ -179,31 +211,21 @@ impl EvalCache {
         EvalCache {
             times: ShardedMap::new(),
             ops: ShardedMap::new(),
-            time_hits: AtomicUsize::new(0),
-            time_misses: AtomicUsize::new(0),
-            op_hits: AtomicUsize::new(0),
-            op_misses: AtomicUsize::new(0),
-            hot: HotPathStats::default(),
+            traffic: Traffic::default(),
         }
     }
 
-    /// Memoized simulated time of `(salt, id)`. The compute runs outside
-    /// any lock, so a slow simulation never blocks unrelated lookups. Only
-    /// the insert that adds the key counts a miss; a thread that computed
-    /// the key alongside it counts a hit. Misses therefore equal distinct
-    /// keys, and a parallel search counts what a serial one does.
-    pub fn time(&self, salt: u64, id: u128, compute: impl FnOnce() -> f64) -> f64 {
-        if let Some(t) = self.times.get(salt, id) {
-            self.time_hits.fetch_add(1, Ordering::Relaxed);
-            return t;
+    /// Memoized simulated time of `(salt, id)`, counted in the cache's
+    /// traffic and in the reader's `own`. The compute runs outside any
+    /// lock, so a slow simulation never blocks unrelated lookups. Only the
+    /// insert that adds the key counts a miss; a thread that computed the
+    /// key alongside it counts a hit. Misses therefore equal distinct keys,
+    /// and a parallel search counts what a serial one does.
+    pub fn time(&self, salt: u64, id: u128, own: &Traffic, compute: impl FnOnce() -> f64) -> f64 {
+        let (t, hit) = self.times.get_or_compute(salt, id, compute);
+        for traffic in [&self.traffic, own] {
+            count(hit, &traffic.time_hits, &traffic.time_misses);
         }
-        let t = compute();
-        let counter = if self.times.insert(salt, id, t) {
-            &self.time_misses
-        } else {
-            &self.time_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
         t
     }
 
@@ -215,41 +237,36 @@ impl EvalCache {
         &self,
         salt: u64,
         key: u128,
+        own: &Traffic,
         compute: impl FnOnce() -> OpOutcome,
     ) -> OpOutcome {
-        if let Some(o) = self.ops.get(salt, key) {
-            self.op_hits.fetch_add(1, Ordering::Relaxed);
-            return o;
+        let (o, hit) = self.ops.get_or_compute(salt, key, compute);
+        for traffic in [&self.traffic, own] {
+            count(hit, &traffic.op_hits, &traffic.op_misses);
         }
-        let o = compute();
-        let counter = if self.ops.insert(salt, key, o.clone()) {
-            &self.op_misses
-        } else {
-            &self.op_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
         o
+    }
+
+    /// Adds a reader's stage time to the cache's hot-path timers and to
+    /// its `own`.
+    pub(crate) fn add_hot(&self, own: &Traffic, add: impl Fn(&HotPathStats)) {
+        add(&self.traffic.hot);
+        add(&own.hot);
     }
 
     /// `(hits, misses)` over whole-configuration times.
     pub fn time_stats(&self) -> (usize, usize) {
-        (
-            self.time_hits.load(Ordering::Relaxed),
-            self.time_misses.load(Ordering::Relaxed),
-        )
+        self.traffic.time_stats()
     }
 
     /// `(hits, misses)` over per-op outcomes.
     pub fn op_stats(&self) -> (usize, usize) {
-        (
-            self.op_hits.load(Ordering::Relaxed),
-            self.op_misses.load(Ordering::Relaxed),
-        )
+        self.traffic.op_stats()
     }
 
     /// Hot-path stage timers shared by every evaluator on this cache.
     pub fn hot(&self) -> &HotPathStats {
-        &self.hot
+        &self.traffic.hot
     }
 
     /// Distinct simulated times memoized — one per simulator call made
@@ -272,35 +289,35 @@ mod tests {
 
     #[test]
     fn second_lookup_hits() {
-        let cache = EvalCache::new();
+        let (cache, own) = (EvalCache::new(), Traffic::default());
         let computed = AtomicUsize::new(0);
         let f = || {
             computed.fetch_add(1, Ordering::Relaxed);
             1.5
         };
-        assert_eq!(cache.time(0, 42, f), 1.5);
-        assert_eq!(cache.time(0, 42, f), 1.5);
+        assert_eq!(cache.time(0, 42, &own, f), 1.5);
+        assert_eq!(cache.time(0, 42, &own, f), 1.5);
         assert_eq!(computed.load(Ordering::Relaxed), 1);
         assert_eq!(cache.time_stats(), (1, 1));
     }
 
     #[test]
     fn salts_are_distinct_keyspaces() {
-        let cache = EvalCache::new();
-        assert_eq!(cache.time(1, 7, || 1.0), 1.0);
-        assert_eq!(cache.time(2, 7, || 2.0), 2.0);
+        let (cache, own) = (EvalCache::new(), Traffic::default());
+        assert_eq!(cache.time(1, 7, &own, || 1.0), 1.0);
+        assert_eq!(cache.time(2, 7, &own, || 2.0), 2.0);
         assert_eq!(cache.time_stats(), (0, 2));
         assert_eq!(cache.times_len(), 2);
     }
 
     #[test]
     fn op_outcomes_are_a_separate_keyspace_with_separate_counters() {
-        let cache = EvalCache::new();
+        let (cache, own) = (EvalCache::new(), Traffic::default());
         // Same (salt, key) as a time entry must not collide.
-        cache.time(3, 9, || 1.25);
-        let o = cache.op_outcome(3, 9, || OpOutcome::SimFault("too wide".into()));
+        cache.time(3, 9, &own, || 1.25);
+        let o = cache.op_outcome(3, 9, &own, || OpOutcome::SimFault("too wide".into()));
         assert_eq!(o, OpOutcome::SimFault("too wide".into()));
-        assert_eq!(cache.op_outcome(3, 9, || unreachable!()), o);
+        assert_eq!(cache.op_outcome(3, 9, &own, || unreachable!()), o);
         assert_eq!(cache.op_stats(), (1, 1));
         assert_eq!(cache.time_stats(), (0, 1));
         assert_eq!(cache.ops_len(), 1);
@@ -308,15 +325,29 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_snapshot_deltas() {
+    fn readers_count_only_their_own_traffic() {
+        // The cache counts every lookup and stage time; each reader counts
+        // the ones it made, by the same hit-or-miss rule.
         let cache = EvalCache::new();
-        cache.hot().add_decode(5);
-        cache.hot().add_map(7);
-        let before = cache.hot().snapshot();
-        cache.hot().add_map(10);
-        cache.hot().add_sim(3);
-        let d = cache.hot().snapshot().delta(&before);
-        assert_eq!((d.decode_ns, d.map_ns, d.sim_ns), (0, 10, 3));
+        let (a, b) = (Traffic::default(), Traffic::default());
+        cache.time(0, 1, &a, || 1.0);
+        cache.time(0, 1, &b, || unreachable!());
+        cache.time(0, 2, &b, || 2.0);
+        cache.op_outcome(0, 1, &a, || OpOutcome::Time(1.0));
+        cache.add_hot(&a, |h| h.add_map(7));
+        cache.add_hot(&b, |h| h.add_sim(3));
+        assert_eq!((a.time_stats(), b.time_stats()), ((0, 1), (1, 1)));
+        assert_eq!(cache.time_stats(), (1, 2));
+        assert_eq!(
+            (a.op_stats(), b.op_stats(), cache.op_stats()),
+            ((0, 1), (0, 0), (0, 1))
+        );
+        let ns = |t: &HotPathStats| {
+            let s = t.snapshot();
+            (s.decode_ns, s.map_ns, s.sim_ns)
+        };
+        assert_eq!((ns(a.hot()), ns(b.hot())), ((0, 7, 0), (0, 0, 3)));
+        assert_eq!(ns(cache.hot()), (0, 7, 3));
     }
 
     #[test]
@@ -329,11 +360,12 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
-                    cache.time(0, 7, || {
+                    let own = Traffic::default();
+                    cache.time(0, 7, &own, || {
                         met.wait();
                         1.0
                     });
-                    cache.op_outcome(0, 7, || {
+                    cache.op_outcome(0, 7, &own, || {
                         met.wait();
                         OpOutcome::Time(2.0)
                     });
@@ -347,13 +379,13 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_entries() {
-        let cache = EvalCache::new();
+        let (cache, own) = (EvalCache::new(), Traffic::default());
         let calls = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for id in 0..100u128 {
-                        cache.time(0, id, || {
+                        cache.time(0, id, &own, || {
                             calls.fetch_add(1, Ordering::Relaxed);
                             id as f64
                         });
@@ -364,7 +396,7 @@ mod tests {
         // Every entry exists exactly once; racy duplicate computes are
         // possible but the map stays consistent.
         for id in 0..100u128 {
-            assert_eq!(cache.time(0, id, || unreachable!()), id as f64);
+            assert_eq!(cache.time(0, id, &own, || unreachable!()), id as f64);
         }
     }
 }

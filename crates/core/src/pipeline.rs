@@ -14,7 +14,7 @@
 //! part of building one, so a [`crate::session::TuningSession`] keeps one
 //! per fingerprint and every tune and replay takes it already built.
 
-use crate::cache::EvalCache;
+use crate::cache::{EvalCache, Traffic};
 use crate::error::BarracudaError;
 use crate::stages::evaluate::salt_of;
 use crate::stages::frontend::workload_fingerprint;
@@ -150,7 +150,8 @@ impl WorkloadTuner {
         arch: &GpuArch,
         cache: &EvalCache,
     ) -> Result<f64, BarracudaError> {
-        evaluate::joint_gpu_seconds_memo(&self.workload, &self.statements, 0, id, arch, cache)
+        let own = Traffic::default();
+        evaluate::joint_gpu_seconds_memo(&self.workload, &self.statements, 0, id, arch, cache, &own)
     }
 
     /// PCIe transfer time of the workload on `arch`.

@@ -3,15 +3,15 @@
 //!
 //! [`TunerEvaluator`] times ids of a run of the workload's statements: all
 //! of them for joint tuning, one for each search of decomposed tuning. It
-//! implements [`surf::ParallelEvaluator`] over a shared [`EvalCache`] and
-//! keys its noise by configuration id, never by evaluation order — which
-//! is what keeps parallel runs bit-identical to serial ones. Under the
-//! whole-configuration time cache sits a per-op memo layer
-//! (`statement_time_memo`) keyed by `(statement, version, op, choice)` in
-//! the workload's statement numbering, so joint and decomposed tuning share
-//! each other's sub-results.
+//! implements [`surf::ParallelEvaluator`] over a shared [`EvalCache`],
+//! counts its own memo traffic there, and keys its noise by configuration
+//! id, never by evaluation order — which is what keeps parallel runs
+//! bit-identical to serial ones. Under the whole-configuration time cache
+//! sits a per-op memo layer (`statement_time_memo`) keyed by `(statement,
+//! version, op, choice)` in the workload's statement numbering, so joint and
+//! decomposed tuning share each other's sub-results.
 
-use crate::cache::{EvalCache, OpOutcome};
+use crate::cache::{EvalCache, OpOutcome, Traffic};
 use crate::error::BarracudaError;
 use crate::objective::Objective;
 use crate::stages::lower;
@@ -60,10 +60,10 @@ enum StatementFault {
 
 /// Device time of one statement under `(version, per-op choices)`, with
 /// each op's map + validate + time outcome memoized in `cache` under
-/// `salt`. Bitwise identical to `map_program` + `validate_kernel` +
-/// `time_program(..).gpu_s`: the first op that fails to map fails the
-/// statement (mapping runs before any validation), then the first
-/// validation failure in op order, else the kernel times are summed
+/// `salt` and counted in `own`. Bitwise identical to `map_program` +
+/// `validate_kernel` + `time_program(..).gpu_s`: the first op that fails to
+/// map fails the statement (mapping runs before any validation), then the
+/// first validation failure in op order, else the kernel times are summed
 /// left-to-right exactly like `ProgramTiming::gpu_s`.
 #[allow(clippy::too_many_arguments)]
 fn statement_time_memo(
@@ -74,13 +74,14 @@ fn statement_time_memo(
     accumulate: bool,
     arch: &GpuArch,
     cache: &EvalCache,
+    own: &Traffic,
     salt: u64,
 ) -> Result<f64, StatementFault> {
     let variant = &st.variants[version];
     let mut sum = 0.0;
     let mut sim_fault: Option<String> = None;
     for (o, &choice) in choices.iter().enumerate() {
-        let outcome = cache.op_outcome(salt, op_key(stmt, version, o, choice), || {
+        let outcome = cache.op_outcome(salt, op_key(stmt, version, o, choice), own, || {
             let t0 = Instant::now();
             let cfg = variant.space.per_op[o].config(choice);
             // Only the statement writing the program output may accumulate
@@ -89,17 +90,20 @@ fn statement_time_memo(
                 && variant.program.arrays[variant.program.ops[o].output].kind == ArrayKind::Output;
             match map_kernel(&variant.program, o, cfg, acc) {
                 Ok(kernel) => {
-                    cache.hot().add_map(t0.elapsed().as_nanos() as u64);
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    cache.add_hot(own, |h| h.add_map(ns));
                     let t1 = Instant::now();
                     let out = match gpusim::validate_kernel(&kernel, arch) {
                         Ok(()) => OpOutcome::Time(gpusim::kernel_time_s(&kernel, arch)),
                         Err(detail) => OpOutcome::SimFault(detail),
                     };
-                    cache.hot().add_sim(t1.elapsed().as_nanos() as u64);
+                    let ns = t1.elapsed().as_nanos() as u64;
+                    cache.add_hot(own, |h| h.add_sim(ns));
                     out
                 }
                 Err(e) => {
-                    cache.hot().add_map(t0.elapsed().as_nanos() as u64);
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    cache.add_hot(own, |h| h.add_map(ns));
                     OpOutcome::MapFault(e.to_string())
                 }
             }
@@ -166,7 +170,8 @@ pub fn joint_gpu_seconds(
 /// identical to the unmemoized path, including the error a faulting
 /// configuration produces. `statements` are the workload's statements from
 /// statement `first` on, and `id` is an id of their joint space; keys and
-/// errors use the workload's statement numbers.
+/// errors use the workload's statement numbers. The lookups and stage
+/// times count in the cache and in the reader's `own`.
 pub fn joint_gpu_seconds_memo(
     workload: &Workload,
     statements: &[StatementTuner],
@@ -174,20 +179,23 @@ pub fn joint_gpu_seconds_memo(
     id: u128,
     arch: &GpuArch,
     cache: &EvalCache,
+    own: &Traffic,
 ) -> Result<f64, BarracudaError> {
     let salt = salt_of(&arch.name);
     let t0 = Instant::now();
     let locals = lower::decode_joint(statements, id);
-    cache.hot().add_decode(t0.elapsed().as_nanos() as u64);
+    let ns = t0.elapsed().as_nanos() as u64;
+    cache.add_hot(own, |h| h.add_decode(ns));
     let mut choices: Vec<usize> = Vec::new();
     let mut total = 0.0;
     for (k, (s, &local)) in (first..).zip(statements.iter().zip(&locals)) {
         let t0 = Instant::now();
         let (v, local_cfg) = s.decode_raw(local);
         s.variants[v].space.choices_into(local_cfg, &mut choices);
-        cache.hot().add_decode(t0.elapsed().as_nanos() as u64);
+        let ns = t0.elapsed().as_nanos() as u64;
+        cache.add_hot(own, |h| h.add_decode(ns));
         let accumulate = workload.statements[k].accumulate;
-        match statement_time_memo(s, k, v, &choices, accumulate, arch, cache, salt) {
+        match statement_time_memo(s, k, v, &choices, accumulate, arch, cache, own, salt) {
             Ok(stmt_s) => total += stmt_s,
             Err(StatementFault::Mapping { version, detail }) => {
                 return Err(BarracudaError::Mapping {
@@ -235,19 +243,21 @@ impl Noise {
     }
 }
 
-/// Memoized noiseless time of `id` under `salt`, with typed failure.
-/// `compute` runs on a cache miss; its failure is memoized as a cached
-/// `NaN` sentinel, so re-asking about a quarantined configuration costs
-/// one cache hit, not a re-simulation. A cached sentinel (or any
-/// non-finite or non-positive time) comes back as a `simulation` fault.
+/// Memoized noiseless time of `id` under `salt`, with typed failure,
+/// counted in `own`. `compute` runs on a cache miss; its failure is
+/// memoized as a cached `NaN` sentinel, so re-asking about a quarantined
+/// configuration costs one cache hit, not a re-simulation. A cached
+/// sentinel (or any non-finite or non-positive time) comes back as a
+/// `simulation` fault.
 fn checked_time(
     cache: &EvalCache,
+    own: &Traffic,
     salt: u64,
     id: u128,
     compute: impl FnOnce() -> Result<f64, EvalFault>,
 ) -> Result<f64, EvalFault> {
     let mut fault = None;
-    let t = cache.time(salt, id, || {
+    let t = cache.time(salt, id, own, || {
         compute().unwrap_or_else(|f| {
             fault = Some(f);
             f64::NAN
@@ -272,7 +282,8 @@ fn checked_time(
 /// Implements [`surf::ParallelEvaluator`], so one instance serves both the
 /// serial and the parallel search — noise is keyed by configuration id,
 /// never by evaluation order, which is what keeps parallel runs
-/// bit-identical to serial ones.
+/// bit-identical to serial ones. It counts its own memo traffic, so a
+/// search reports its own lookups however many others share the cache.
 pub struct TunerEvaluator<'a> {
     workload: &'a Workload,
     /// The timed statements: the workload's statements from `first` on.
@@ -283,6 +294,8 @@ pub struct TunerEvaluator<'a> {
     /// Time-cache salt, so several runs of statements share one cache.
     salt: u64,
     noise: Noise,
+    /// The lookups and stage times of this evaluator alone.
+    own: Traffic,
 }
 
 impl<'a> TunerEvaluator<'a> {
@@ -306,7 +319,14 @@ impl<'a> TunerEvaluator<'a> {
             cache,
             salt,
             noise,
+            own: Traffic::default(),
         }
+    }
+
+    /// The memo traffic of this evaluator's own lookups: each layer's hits
+    /// and misses and the decode, map and simulate times.
+    pub(crate) fn traffic(&self) -> &Traffic {
+        &self.own
     }
 
     /// Noiseless memoized simulated time of a configuration; `NaN` when
@@ -319,7 +339,7 @@ impl<'a> TunerEvaluator<'a> {
     /// Noiseless memoized simulated time, with typed failure (see
     /// `checked_time` for the memoization of failures).
     pub fn try_time(&self, id: u128) -> Result<f64, EvalFault> {
-        checked_time(self.cache, self.salt, id, || {
+        checked_time(self.cache, &self.own, self.salt, id, || {
             joint_gpu_seconds_memo(
                 self.workload,
                 self.statements,
@@ -327,6 +347,7 @@ impl<'a> TunerEvaluator<'a> {
                 id,
                 self.arch,
                 self.cache,
+                &self.own,
             )
             .map_err(|e| EvalFault::new(e.stage(), e.to_string()))
         })

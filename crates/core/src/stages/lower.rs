@@ -27,14 +27,29 @@ pub fn total_space(statements: &[StatementTuner]) -> u128 {
 }
 
 /// Decodes a joint id into per-statement local ids.
-pub fn decode_joint(statements: &[StatementTuner], mut id: u128) -> Vec<u128> {
+pub fn decode_joint(statements: &[StatementTuner], id: u128) -> Vec<u128> {
     let mut locals = vec![0u128; statements.len()];
-    for (k, s) in statements.iter().enumerate().rev() {
-        let radix = s.total();
-        locals[k] = id % radix;
-        id /= radix;
+    for (k, _, local) in decode_joint_rev(statements, id) {
+        locals[k] = local;
     }
     locals
+}
+
+/// [`decode_joint`] without allocating: each statement's number, the
+/// statement and its local id, last statement first. For readers whose
+/// result does not depend on statement order (a max, a saturating sum,
+/// marks in a bitset); a reader whose float sum or first error follows
+/// statement order uses [`decode_joint`].
+pub(crate) fn decode_joint_rev(
+    statements: &[StatementTuner],
+    mut id: u128,
+) -> impl Iterator<Item = (usize, &StatementTuner, u128)> {
+    statements.iter().enumerate().rev().map(move |(k, s)| {
+        let radix = s.total();
+        let local = id % radix;
+        id /= radix;
+        (k, s, local)
+    })
 }
 
 /// Inverse of [`decode_joint`]: re-encodes per-statement local ids into one
@@ -85,13 +100,8 @@ pub(crate) fn joint_transposed_pool(statements: &[StatementTuner], ids: &[u128])
         .map(|s| vec![Vec::new(); s.feature_space().features.len()])
         .collect();
     for (row, &id) in ids.iter().enumerate() {
-        // `decode_joint` inline: allocating its vector per id took about
-        // two-fifths of this function's time.
-        let mut rest = id;
-        for (s, raw) in statements.iter().zip(&mut raw).rev() {
-            let radix = s.total();
-            s.mark_raw_values(rest % radix, row, words, raw);
-            rest /= radix;
+        for (k, s, local) in decode_joint_rev(statements, id) {
+            s.mark_raw_values(local, row, words, &mut raw[k]);
         }
     }
     let columns = statements
@@ -103,14 +113,8 @@ pub(crate) fn joint_transposed_pool(statements: &[StatementTuner], ids: &[u128])
 
 /// Flops of the versions selected by a joint id.
 pub fn joint_flops(statements: &[StatementTuner], id: u128) -> u64 {
-    let locals = decode_joint(statements, id);
-    statements
-        .iter()
-        .zip(&locals)
-        .map(|(s, &local)| {
-            let (v, _) = s.decode(local);
-            s.variants[v].program.flops()
-        })
+    decode_joint_rev(statements, id)
+        .map(|(_, s, local)| s.variants[s.decode_raw(local).0].program.flops())
         .sum()
 }
 
@@ -198,12 +202,10 @@ pub fn joint_memory_from_table(
     table: &[Vec<(u64, u64)>],
     id: u128,
 ) -> (u64, u64) {
-    let locals = decode_joint(statements, id);
     let mut peak = 0u64;
     let mut rw = 0u64;
-    for (k, (s, &local)) in statements.iter().zip(&locals).enumerate() {
-        let (v, _) = s.decode_raw(local);
-        let (p, r) = table[k][v];
+    for (k, s, local) in decode_joint_rev(statements, id) {
+        let (p, r) = table[k][s.decode_raw(local).0];
         peak = peak.max(p);
         rw = rw.saturating_add(r);
     }
@@ -215,12 +217,10 @@ pub fn joint_memory_from_table(
 /// its end, so the joint peak is the max over statements while the traffic
 /// volume sums.
 pub fn joint_memory(statements: &[StatementTuner], id: u128) -> (u64, u64) {
-    let locals = decode_joint(statements, id);
     let mut peak = 0u64;
     let mut rw = 0u64;
-    for (s, &local) in statements.iter().zip(&locals) {
-        let (v, _) = s.decode(local);
-        let program = &s.variants[v].program;
+    for (_, s, local) in decode_joint_rev(statements, id) {
+        let program = &s.variants[s.decode_raw(local).0].program;
         peak = peak.max(program_peak_temp_bytes(program));
         rw = rw.saturating_add(program_rw_bytes(program));
     }
@@ -311,6 +311,24 @@ mod tests {
             let id = total * frac % total;
             let locals = decode_joint(&lowered.statements, id);
             assert_eq!(encode_joint(&lowered.statements, &locals), id);
+        }
+    }
+
+    #[test]
+    fn in_place_decode_inverts_encode_joint_last_statement_first() {
+        let (_, lowered) = lowered_pair();
+        let statements = &lowered.statements;
+        let total = lowered.total_space();
+        for id in [0u128, 1, 7, total / 3, total / 2, total - 1] {
+            let rev: Vec<(usize, u128)> = decode_joint_rev(statements, id)
+                .map(|(k, _, local)| (k, local))
+                .collect();
+            let order: Vec<usize> = rev.iter().map(|&(k, _)| k).collect();
+            assert_eq!(order, [1, 0], "id {id}");
+            let locals: Vec<u128> = rev.iter().rev().map(|&(_, local)| local).collect();
+            assert!(locals.iter().zip(statements).all(|(&l, s)| l < s.total()));
+            assert_eq!(encode_joint(statements, &locals), id);
+            assert_eq!(locals, decode_joint(statements, id));
         }
     }
 

@@ -224,8 +224,8 @@ pub struct SearchStats {
     /// Per-op outcome cache hits during the searches — the memo layer
     /// under the whole-configuration cache, keyed by `(statement, version,
     /// op, choice)` so distinct joint configurations share sub-results.
-    /// Like the time counters, it counts the searches' own traffic, not the
-    /// pick's re-reads.
+    /// Like the time counters, it counts the searches' own lookups: not the
+    /// pick's re-reads, nor those of other searches sharing the cache.
     pub per_op_hits: usize,
     pub per_op_misses: usize,
     /// Whole-configuration time cache hits/misses during the searches.
@@ -363,38 +363,6 @@ fn noiseless_pick(
     (best.map(|(id, _)| id), times)
 }
 
-/// Memo-cache counters of an [`EvalCache`], read at the start of a search
-/// so its statistics report only the traffic the search caused.
-struct CacheCounters {
-    time: (usize, usize),
-    op: (usize, usize),
-    hot: HotPathSnapshot,
-}
-
-impl CacheCounters {
-    fn read(cache: &EvalCache) -> Self {
-        CacheCounters {
-            time: cache.time_stats(),
-            op: cache.op_stats(),
-            hot: cache.hot().snapshot(),
-        }
-    }
-
-    /// Adds to `stats` the hits, misses and decode, map and simulate times
-    /// `cache` has seen since `self` was read.
-    fn add_since(&self, cache: &EvalCache, stats: &mut SearchStats) {
-        let now = CacheCounters::read(cache);
-        stats.time_hits += now.time.0 - self.time.0;
-        stats.time_misses += now.time.1 - self.time.1;
-        stats.per_op_hits += now.op.0 - self.op.0;
-        stats.per_op_misses += now.op.1 - self.op.1;
-        let hot = now.hot.delta(&self.hot);
-        stats.hot.decode_ns += hot.decode_ns;
-        stats.hot.map_ns += hot.map_ns;
-        stats.hot.sim_ns += hot.sim_ns;
-    }
-}
-
 /// One tune: the stage artifacts it searches and what its SURF searches
 /// add up to — one search over every statement for joint tuning, one per
 /// statement for decomposed tuning.
@@ -515,13 +483,21 @@ impl<'a> SearchRun<'a> {
         if let Some(deadline) = params.wall_deadline_s {
             sp.wall_deadline_s = Some(deadline - self.stats.wall_s);
         }
-        let start = CacheCounters::read(self.cache);
         let result = run_surf(&pool, &evaluator, memory, &params, sp)
             .map_err(|e| self.error(format!("{label}{e}")))?;
-        // Counted before the pick: the statistics report the search's own
+        // Read before the pick: the statistics report the search's own
         // cache traffic.
-        start.add_since(self.cache, &mut self.stats);
+        let own = evaluator.traffic();
+        let ((time_hits, time_misses), (op_hits, op_misses)) = (own.time_stats(), own.op_stats());
+        let hot = own.hot().snapshot();
         let s = &mut self.stats;
+        s.time_hits += time_hits;
+        s.time_misses += time_misses;
+        s.per_op_hits += op_hits;
+        s.per_op_misses += op_misses;
+        s.hot.decode_ns += hot.decode_ns;
+        s.hot.map_ns += hot.map_ns;
+        s.hot.sim_ns += hot.sim_ns;
         s.n_evals += result.n_evals();
         s.batches += result.batches;
         s.wall_s += result.wall_s;

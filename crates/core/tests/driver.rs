@@ -8,6 +8,7 @@ use barracuda::cache::EvalCache;
 use barracuda::pipeline::{TuneParams, TunedWorkload, WorkloadTuner};
 use barracuda::workload::Workload;
 use barracuda::{kernels, Objective};
+use std::sync::Barrier;
 use tensor::index::uniform_dims;
 
 fn matmul_workload(n: usize) -> Workload {
@@ -202,27 +203,6 @@ fn one_statement_builtins_tune_the_same_joint_and_decomposed() {
 }
 
 #[test]
-fn parallel_tuning_is_bit_identical_to_serial() {
-    let w = eqn1_workload(6);
-    let tuner = WorkloadTuner::build(&w);
-    let arch = gpusim::k20();
-    let mut serial_params = TuneParams::quick();
-    serial_params.threads = 1;
-    let mut parallel_params = TuneParams::quick();
-    parallel_params.threads = 0;
-    let serial = tuner.autotune(&arch, serial_params).unwrap();
-    let parallel = tuner.autotune(&arch, parallel_params).unwrap();
-    assert_eq!(serial.id, parallel.id);
-    assert_eq!(serial.gpu_seconds.to_bits(), parallel.gpu_seconds.to_bits());
-    assert_eq!(serial.search.n_evals, parallel.search.n_evals);
-    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&serial.search.evaluated_times),
-        bits(&parallel.search.evaluated_times)
-    );
-}
-
-#[test]
 fn one_search_never_duplicates_a_simulation() {
     // Every time-cache miss is one simulator call; SURF never
     // re-evaluates a configuration and the final noiseless pick only
@@ -258,6 +238,92 @@ fn shared_cache_skips_resimulation_on_reruns() {
     // The second run re-simulates nothing: every time lookup hits.
     assert_eq!(second.search.time_misses, 0);
     assert!(second.search.time_hit_rate() == 1.0);
+}
+
+#[test]
+fn per_op_layer_sees_traffic_on_every_table2_workload() {
+    let mut params = TuneParams {
+        pool_cap: 500,
+        ..TuneParams::quick()
+    };
+    params.surf.max_evals = 30;
+    for w in kernels::table2_benchmarks() {
+        let s = WorkloadTuner::build(&w)
+            .autotune(&gpusim::k20(), params)
+            .unwrap()
+            .search;
+        assert!(
+            s.per_op_hits + s.per_op_misses > 0,
+            "{}: no per-op traffic",
+            w.name
+        );
+        // A fresh-cache search never revisits a whole configuration, so
+        // the per-op layer can only do better than the time cache.
+        assert!(
+            s.per_op_hit_rate() >= s.time_hit_rate(),
+            "{}: per-op rate {} fell below whole-config time rate {}",
+            w.name,
+            s.per_op_hit_rate(),
+            s.time_hit_rate()
+        );
+    }
+}
+
+#[test]
+fn per_op_layer_outhits_whole_config_cache_at_real_budgets() {
+    // Per-op reuse comes from distinct configurations sharing per-op
+    // digits, which needs a non-trivial budget to show; the search is
+    // seeded, so these rates are exact and reproducible.
+    let tuner = WorkloadTuner::build(&kernels::builtin("tce").unwrap());
+    let mut params = TuneParams {
+        pool_cap: 5000,
+        ..TuneParams::quick()
+    };
+    params.surf.max_evals = 150;
+    let s = tuner.autotune(&gpusim::k20(), params).unwrap().search;
+    assert!(
+        s.per_op_hit_rate() > s.time_hit_rate(),
+        "tce: per-op rate {} must beat whole-config rate {}",
+        s.per_op_hit_rate(),
+        s.time_hit_rate()
+    );
+}
+
+#[test]
+fn concurrent_searches_count_only_their_own_cache_traffic() {
+    // A session keeps one cache per workload for every backend, so tunes
+    // of one workload on two backends can search over it at once. Each
+    // must report its own lookups: the pick and memo counters of a solo
+    // run on a fresh cache.
+    let tuner = WorkloadTuner::build(&kernels::builtin("tce").unwrap());
+    let mut params = TuneParams {
+        threads: 1,
+        ..TuneParams::quick()
+    };
+    params.surf.max_evals = 120;
+    let archs = [gpusim::k20(), gpusim::gtx980()];
+    let figures = |t: TunedWorkload| {
+        let s = t.search;
+        let memo = (s.time_hits, s.time_misses, s.per_op_hits, s.per_op_misses);
+        (t.id, memo)
+    };
+    let solo = archs
+        .each_ref()
+        .map(|arch| figures(tuner.autotune(arch, params).unwrap()));
+    for round in 0..4 {
+        let (cache, start) = (EvalCache::new(), Barrier::new(archs.len()));
+        let shared = std::thread::scope(|s| {
+            let runs = archs.each_ref().map(|arch| {
+                let (tuner, cache, start) = (&tuner, &cache, &start);
+                s.spawn(move || {
+                    start.wait();
+                    figures(tuner.autotune_with_cache(arch, params, cache).unwrap())
+                })
+            });
+            runs.map(|run| run.join().unwrap())
+        });
+        assert_eq!(shared, solo, "round {round}");
+    }
 }
 
 #[test]

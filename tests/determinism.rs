@@ -23,25 +23,36 @@ fn autotuning_is_bit_deterministic() {
 #[test]
 fn parallel_tuning_is_bit_identical_to_serial() {
     // The parallel evaluation engine must not perturb the search: noise is
-    // keyed by configuration id and batches fold in batch order, so any
-    // thread count reproduces the serial trace bit for bit.
-    let w = kernels::lg3t(8, 16);
+    // keyed by configuration id, batches fold in batch order and a memo
+    // layer counts a miss only when its insert adds the key, so any thread
+    // count reproduces the serial search bit for bit, memo counters
+    // included, on every Table II workload.
     let arch = gpusim::k20();
-    let mut serial = quick();
-    serial.threads = 1;
-    let mut parallel = quick();
-    parallel.threads = 0; // rayon pool (RAYON_NUM_THREADS or all cores)
-    let a = WorkloadTuner::build(&w).autotune(&arch, serial).unwrap();
-    let b = WorkloadTuner::build(&w).autotune(&arch, parallel).unwrap();
-    assert_eq!(a.id, b.id);
-    assert_eq!(a.gpu_seconds.to_bits(), b.gpu_seconds.to_bits());
-    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&a.search.evaluated_times),
-        bits(&b.search.evaluated_times)
-    );
-    assert_eq!(a.search.n_evals, b.search.n_evals);
-    assert_eq!(a.search.batches, b.search.batches);
+    let params = TuneParams {
+        pool_cap: 500,
+        ..quick()
+    };
+    for w in kernels::table2_benchmarks() {
+        let tuner = WorkloadTuner::build(&w);
+        // threads 0: the rayon pool (RAYON_NUM_THREADS or all cores).
+        let [serial, parallel] = [1, 0].map(|threads| {
+            let t = tuner
+                .autotune(&arch, TuneParams { threads, ..params })
+                .unwrap();
+            let s = t.search;
+            let times: Vec<u64> = s.evaluated_times.iter().map(|x| x.to_bits()).collect();
+            let memo = (s.per_op_hits, s.per_op_misses, s.time_hits, s.time_misses);
+            (
+                t.id,
+                t.gpu_seconds.to_bits(),
+                times,
+                s.n_evals,
+                s.batches,
+                memo,
+            )
+        });
+        assert_eq!(serial, parallel, "{}", w.name);
+    }
 }
 
 #[test]
