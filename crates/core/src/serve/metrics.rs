@@ -111,7 +111,7 @@ impl ServeMetrics {
 }
 
 /// Nearest-rank percentile over an already-sorted sample (0 when empty).
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

@@ -35,8 +35,8 @@
 //!
 //! Transports ([`transport`]): sequential stdio (deterministic — what CI
 //! scripts drive) and thread-per-connection TCP or Unix sockets (where
-//! coalescing actually overlaps). Tests and the load generator skip the
-//! transport and call [`Daemon::handle_line`] directly.
+//! coalescing actually overlaps). Most tests skip the transport and call
+//! [`Daemon::handle_line`] directly.
 
 pub mod admission;
 pub mod chaos;
@@ -457,13 +457,7 @@ impl Daemon {
         params: TuneParams,
         seq: u64,
     ) -> Result<Arc<ServedTune>, BarracudaError> {
-        let wait_cap = Duration::from_secs_f64(
-            params
-                .wall_deadline_s
-                .map(|d| d.max(0.0) + COALESCE_GRACE_S)
-                .unwrap_or(self.options.follower_wait_s)
-                .max(0.0),
-        );
+        let wait_cap = wait_bound(params.wall_deadline_s, self.options.follower_wait_s);
         let permit = match self.gate.admit(wait_cap) {
             Ok(p) => p,
             Err(reject) => return Err(self.gate.busy_error(&reject, self.recent_search_ms())),
@@ -574,21 +568,28 @@ impl Daemon {
     }
 }
 
-/// Follower wait: until the leader publishes, bounded by the request
-/// deadline plus [`COALESCE_GRACE_S`] when one is set, by the
-/// server-side `follower_wait_s` cap otherwise. Always finite: a wedged
-/// leader costs its followers a typed error, never a hang.
+/// How long a request may wait for a search permit or for its leader:
+/// its deadline plus [`COALESCE_GRACE_S`] when it set one, the
+/// server-side `follower_wait_s` cap otherwise. A wire deadline too
+/// large for a [`Duration`] saturates at [`Duration::MAX`] instead of
+/// panicking the request's thread.
+fn wait_bound(deadline_s: Option<f64>, follower_wait_s: f64) -> Duration {
+    let seconds = deadline_s
+        .map(|d| d.max(0.0) + COALESCE_GRACE_S)
+        .unwrap_or(follower_wait_s)
+        .max(0.0);
+    Duration::try_from_secs_f64(seconds).unwrap_or(Duration::MAX)
+}
+
+/// Follower wait: until the leader publishes, bounded by
+/// [`wait_bound`]. A wedged leader costs its followers a typed error,
+/// never a hang.
 fn wait_for_leader(
     flight: &InFlight,
     deadline_s: Option<f64>,
     follower_wait_s: f64,
 ) -> Result<Arc<ServedTune>, BarracudaError> {
-    let cap = Duration::from_secs_f64(
-        deadline_s
-            .map(|d| d.max(0.0) + COALESCE_GRACE_S)
-            .unwrap_or(follower_wait_s)
-            .max(0.0),
-    );
+    let cap = wait_bound(deadline_s, follower_wait_s);
     let start = Instant::now();
     let mut slot = lock(&flight.slot);
     loop {

@@ -79,8 +79,8 @@ pub struct TuneRequest {
 
 impl Request {
     /// Parse one request line. Malformed JSON, a missing/unknown `op`,
-    /// or a tune without a workload is a typed
-    /// [`BarracudaError::Serve`].
+    /// a tune without a workload, or a tune field of the wrong JSON type
+    /// (named in the error) is a typed [`BarracudaError::Serve`].
     pub fn parse(line: &str) -> Result<Request, BarracudaError> {
         let v = Json::parse(line).map_err(|e| BarracudaError::Serve {
             detail: format!("malformed request line: {e}"),
@@ -97,20 +97,20 @@ impl Request {
             "backends" => Ok(Request::Backends),
             "shutdown" => Ok(Request::Shutdown),
             "tune" => {
-                let workload = v
-                    .get("workload")
-                    .and_then(Json::as_str)
+                let workload = field(&v, "workload", "a string", Json::as_str)?
                     .ok_or_else(|| BarracudaError::Serve {
                         detail: "tune request has no \"workload\" field".to_string(),
                     })?
                     .to_string();
                 Ok(Request::Tune(TuneRequest {
-                    id: v.get("id").and_then(Json::as_str).map(str::to_string),
+                    id: field(&v, "id", "a string", Json::as_str)?.map(str::to_string),
                     workload,
-                    backend: v.get("backend").and_then(Json::as_str).map(str::to_string),
-                    evals: v.get("evals").and_then(Json::as_u64).map(|n| n as usize),
-                    quick: v.get("quick").and_then(Json::as_bool),
-                    deadline_s: v.get("deadline_s").and_then(Json::as_f64),
+                    backend: field(&v, "backend", "a string backend key", Json::as_str)?
+                        .map(str::to_string),
+                    evals: field(&v, "evals", "a non-negative integer", Json::as_u64)?
+                        .map(|n| n as usize),
+                    quick: field(&v, "quick", "a boolean", Json::as_bool)?,
+                    deadline_s: field(&v, "deadline_s", "a number of seconds", Json::as_f64)?,
                     objective: parse_objective(&v)?,
                 }))
             }

@@ -183,9 +183,8 @@ fn serve_tcp(daemon: Arc<Daemon>, addr: &str) -> Result<(), BarracudaError> {
     serve_tcp_on(daemon, listener)
 }
 
-/// Serve on an already-bound TCP listener. The overload smoke bench and
-/// tests bind port 0 themselves to learn the ephemeral port before
-/// handing the listener over.
+/// Serve on an already-bound TCP listener. Tests bind port 0 themselves
+/// to learn the ephemeral port before handing the listener over.
 pub fn serve_tcp_on(daemon: Arc<Daemon>, listener: TcpListener) -> Result<(), BarracudaError> {
     let local = listener.local_addr().map_err(|e| BarracudaError::Serve {
         detail: format!("cannot resolve bound address: {e}"),

@@ -27,6 +27,41 @@ fn temp_store(tag: &str) -> std::path::PathBuf {
 
 const TUNE_EQN1: &str = r#"{"op":"tune","workload":"builtin:eqn1","backend":"gtx980"}"#;
 
+/// A quick daemon without a store whose every leader search first
+/// stalls 500 ms. The injected stall touches neither the search nor the
+/// cache counters; it holds the leader open so concurrent identical
+/// requests join it even under heavy test-runner load.
+fn stalled_daemon() -> Daemon {
+    Daemon::new(ServeOptions {
+        backend: "gtx980".to_string(),
+        quick: true,
+        evals: Some(30),
+        chaos: barracuda::serve::ChaosPlan {
+            slow_rate: 1.0,
+            slow_ms: 500,
+            ..barracuda::serve::ChaosPlan::none()
+        },
+        ..ServeOptions::default()
+    })
+    .unwrap()
+}
+
+/// `line` sent by `n` threads released together; their responses.
+fn send_together(daemon: &Daemon, line: &str, n: usize) -> Vec<String> {
+    let barrier = Barrier::new(n);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    daemon.handle_line(line).response
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
 /// N identical cold requests fired concurrently run exactly ONE search:
 /// the evaluation cache records one search's worth of misses, the other
 /// N-1 requests coalesce, and all N responses are bit-identical.
@@ -42,37 +77,8 @@ fn concurrent_identical_cold_requests_coalesce_into_one_search() {
     assert!(lone_misses > 0, "a cold search must miss the time cache");
 
     const N: usize = 4;
-    // Hold the leader's search open (injected stall — it does not touch
-    // the search itself or the cache counters) so every follower joins
-    // the coalition even under heavy test-runner load.
-    let daemon = Arc::new(
-        Daemon::new(ServeOptions {
-            backend: "gtx980".to_string(),
-            quick: true,
-            evals: Some(30),
-            chaos: barracuda::serve::ChaosPlan {
-                slow_rate: 1.0,
-                slow_ms: 500,
-                ..barracuda::serve::ChaosPlan::none()
-            },
-            ..ServeOptions::default()
-        })
-        .unwrap(),
-    );
-    let barrier = Arc::new(Barrier::new(N));
-    let responses: Vec<String> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..N)
-            .map(|_| {
-                let daemon = Arc::clone(&daemon);
-                let barrier = Arc::clone(&barrier);
-                s.spawn(move || {
-                    barrier.wait();
-                    daemon.handle_line(TUNE_EQN1).response
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let daemon = stalled_daemon();
+    let responses = send_together(&daemon, TUNE_EQN1, N);
 
     for r in &responses {
         assert_eq!(
@@ -92,26 +98,91 @@ fn concurrent_identical_cold_requests_coalesce_into_one_search() {
     assert_eq!(m.tunes, N, "every request is answered");
 }
 
-/// A store-backed daemon serves the second identical request by replay:
-/// zero search evaluations, `source:"hit"`, and a timing line byte-equal
-/// to the cold response's.
+/// Every file in the store directory, by name, with its bytes.
+fn store_files(root: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A store-backed daemon answers every repeat of a request by replaying
+/// the stored plan, and the warm path's cost is counted, not timed: each
+/// warm answer is a hit with zero search evaluations and the cold
+/// answer's timing line, runs no search (`store_misses` stays 1), no
+/// fresh simulation (the workload's session cache gains no miss) and no
+/// re-lowering (the session hands back the same tuner), and leaves the
+/// store's one entry byte-identical.
 #[test]
 fn warm_requests_replay_from_the_store() {
-    let daemon = quick_daemon(Some(temp_store("warm")));
+    const WARM: usize = 20;
+    let root = temp_store("warm");
+    let daemon = quick_daemon(Some(root.clone()));
     let line = r#"{"op":"tune","workload":"tce","backend":"k20","evals":25}"#;
     let cold = Json::parse(&daemon.handle_line(line).response).unwrap();
-    let warm = Json::parse(&daemon.handle_line(line).response).unwrap();
     assert_eq!(cold.get("source").and_then(Json::as_str), Some("searched"));
-    assert_eq!(warm.get("source").and_then(Json::as_str), Some("hit"));
-    assert_eq!(warm.get("evals_performed").and_then(Json::as_u64), Some(0));
     assert!(cold.get("evals_performed").and_then(Json::as_u64) > Some(0));
-    assert_eq!(
-        cold.get("timing").and_then(Json::as_str),
-        warm.get("timing").and_then(Json::as_str),
-        "hit must reproduce the search's timing line byte-for-byte"
-    );
+
+    let w = kernels::builtin("tce").unwrap();
+    let tuner = daemon.session().tuner_for(&w);
+    let cache = daemon.session().cache_for(&w);
+    let misses = (cache.op_stats().1, cache.time_stats().1);
+    let stored = store_files(&root);
+    assert_eq!(stored.len(), 1, "one cold search stores one entry");
+    for i in 0..WARM {
+        let warm = Json::parse(&daemon.handle_line(line).response).unwrap();
+        assert_eq!(
+            warm.get("source").and_then(Json::as_str),
+            Some("hit"),
+            "warm answer {i}"
+        );
+        assert_eq!(warm.get("evals_performed").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            cold.get("timing").and_then(Json::as_str),
+            warm.get("timing").and_then(Json::as_str),
+            "hit must reproduce the search's timing line byte-for-byte"
+        );
+        assert_eq!(
+            daemon.metrics().snapshot().store_misses,
+            1,
+            "warm answer {i} searched"
+        );
+        assert_eq!(
+            (cache.op_stats().1, cache.time_stats().1),
+            misses,
+            "warm answer {i} simulated afresh"
+        );
+        assert!(
+            Arc::ptr_eq(&daemon.session().tuner_for(&w), &tuner),
+            "warm answer {i} lowered the workload again"
+        );
+        assert_eq!(
+            store_files(&root),
+            stored,
+            "warm answer {i} moved the store"
+        );
+    }
     let m = daemon.metrics().snapshot();
-    assert_eq!((m.store_hits, m.store_misses), (1, 1));
+    assert_eq!((m.store_hits, m.store_misses), (WARM, 1));
+}
+
+/// A wire deadline too large for a `Duration` is served like any other:
+/// the leader's admission wait and its coalesced follower's wait both
+/// saturate instead of panicking the threads that serve them.
+#[test]
+fn deadline_too_large_for_a_duration_is_served() {
+    let daemon = stalled_daemon();
+    let line = r#"{"op":"tune","workload":"builtin:s1_1","backend":"k20","deadline_s":1e300}"#;
+    for r in send_together(&daemon, line, 2) {
+        assert!(r.contains("\"ok\":true"), "{r}");
+    }
+    let m = daemon.metrics().snapshot();
+    assert_eq!((m.tunes, m.coalesced, m.errors), (2, 1, 0));
 }
 
 /// A request whose deadline expires mid-search answers promptly with the
@@ -140,20 +211,39 @@ fn deadline_overrun_degrades_instead_of_hanging() {
 #[test]
 fn bad_requests_fail_typed_without_killing_the_daemon() {
     let daemon = quick_daemon(None);
-    for line in [
-        "not json at all",
-        r#"{"op":"fly"}"#,
-        r#"{"op":"tune","workload":"builtin:nope"}"#,
-        r#"{"op":"tune","workload":"builtin:eqn1","backend":"warp9"}"#,
-    ] {
+    // Each line with the text its error must name ("" for any).
+    let lines = [
+        ("not json at all", ""),
+        (r#"{"op":"fly"}"#, ""),
+        (r#"{"op":"tune","workload":"builtin:nope"}"#, ""),
+        (
+            r#"{"op":"tune","workload":"builtin:eqn1","backend":"warp9"}"#,
+            "",
+        ),
+        (
+            r#"{"op":"tune","workload":"builtin:eqn1","backend":7}"#,
+            "\"backend\"",
+        ),
+        (
+            r#"{"op":"tune","workload":"builtin:eqn1","evals":"5"}"#,
+            "\"evals\"",
+        ),
+        (
+            r#"{"op":"tune","workload":"builtin:eqn1","evals":-3}"#,
+            "\"evals\"",
+        ),
+    ];
+    for (line, names) in lines {
         let v = Json::parse(&daemon.handle_line(line).response).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{line}");
         assert!(v.get("exit_code").and_then(Json::as_u64).unwrap() > 2);
+        let error = v.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(names), "{line}: {error}");
     }
     let v = Json::parse(&daemon.handle_line(r#"{"op":"ping"}"#).response).unwrap();
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
     let m = daemon.metrics().snapshot();
-    assert_eq!(m.errors, 4);
+    assert_eq!(m.errors, lines.len());
     assert!(!daemon.is_shutdown());
 }
 

@@ -1,12 +1,16 @@
 //! Admission-control tests for the serving daemon: a bounded cold-search
 //! permit pool, typed Busy shedding with `retry_after_ms`, warm-traffic
-//! bypass, follower piggybacking, bounded waits, and shutdown drain —
-//! all in-process through [`Daemon::handle_line`].
+//! bypass, follower piggybacking, bounded waits, and shutdown drain. The
+//! cold storm runs over the TCP transport; the rest call
+//! [`Daemon::handle_line`] in-process.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use barracuda::json::Json;
+use barracuda::serve::transport::serve_tcp_on;
 use barracuda::serve::ChaosPlan;
 use barracuda::{Daemon, ServeOptions};
 
@@ -25,10 +29,24 @@ fn parse(response: &str) -> Json {
     Json::parse(response).unwrap_or_else(|e| panic!("bad response {response}: {e}"))
 }
 
+/// One request line out over `conn`, its response line back.
+fn call(conn: &mut BufReader<TcpStream>, line: &str) -> Json {
+    writeln!(conn.get_mut(), "{line}").unwrap();
+    let mut response = String::new();
+    conn.read_line(&mut response).unwrap();
+    parse(&response)
+}
+
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    BufReader::new(TcpStream::connect(addr).unwrap())
+}
+
 /// A barrier-released storm of distinct cold tunes against one permit
-/// and an empty queue: exactly the overflow is shed with typed Busy
-/// (exit 13, positive `retry_after_ms`), while warm requests for an
-/// already-stored workload keep replaying from the store the whole time.
+/// and an empty queue, over the TCP transport: exactly the overflow is
+/// shed with typed Busy (exit 13, positive `retry_after_ms`), while warm
+/// requests for an already-stored workload keep replaying from the store
+/// the whole time. The daemon's `stats` agree with the busy answers its
+/// clients saw, and `shutdown` drains the transport cleanly.
 #[test]
 fn cold_storm_is_shed_typed_while_warm_hits_keep_flowing() {
     let daemon = Arc::new(
@@ -49,9 +67,15 @@ fn cold_storm_is_shed_typed_while_warm_hits_keep_flowing() {
         })
         .unwrap(),
     );
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let daemon = Arc::clone(&daemon);
+        std::thread::spawn(move || serve_tcp_on(daemon, listener))
+    };
 
     // Prewarm one workload so warm probes have something to hit.
-    let warm = parse(&daemon.handle_line(&tune_line("eqn1")).response);
+    let warm = call(&mut connect(addr), &tune_line("eqn1"));
     assert_eq!(warm.get("source").and_then(Json::as_str), Some("searched"));
 
     const STORM: &[&str] = &["s1_1", "s1_2", "d1_1", "d1_2"];
@@ -61,24 +85,24 @@ fn cold_storm_is_shed_typed_while_warm_hits_keep_flowing() {
         let handles: Vec<_> = STORM
             .iter()
             .map(|w| {
-                let daemon = Arc::clone(&daemon);
                 let barrier = Arc::clone(&barrier);
                 let line = tune_line(w);
                 s.spawn(move || {
+                    let mut conn = connect(addr);
                     barrier.wait();
-                    daemon.handle_line(&line).response
+                    call(&mut conn, &line)
                 })
             })
             .collect();
-        // Warm probes while the storm is in flight: store hits bypass
-        // the permit pool, so every one must succeed.
+        // Warm probes on one connection while the storm is in flight:
+        // store hits bypass the permit pool, so every one must succeed.
         let prober = {
-            let daemon = Arc::clone(&daemon);
             let done = Arc::clone(&done);
             s.spawn(move || {
+                let mut conn = connect(addr);
                 let mut hits = 0usize;
                 while !done.load(Ordering::SeqCst) {
-                    let v = parse(&daemon.handle_line(&tune_line("eqn1")).response);
+                    let v = call(&mut conn, &tune_line("eqn1"));
                     assert_eq!(
                         v.get("ok").and_then(Json::as_bool),
                         Some(true),
@@ -91,7 +115,7 @@ fn cold_storm_is_shed_typed_while_warm_hits_keep_flowing() {
                 hits
             })
         };
-        let responses: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let responses: Vec<Json> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         done.store(true, Ordering::SeqCst);
         (responses, prober.join().unwrap())
     });
@@ -99,27 +123,42 @@ fn cold_storm_is_shed_typed_while_warm_hits_keep_flowing() {
 
     let mut served = 0usize;
     let mut busy = 0usize;
-    for r in &responses {
-        let v = parse(r);
+    for v in &responses {
         if v.get("ok").and_then(Json::as_bool) == Some(true) {
             served += 1;
             continue;
         }
-        assert_eq!(v.get("stage").and_then(Json::as_str), Some("busy"), "{r}");
-        assert_eq!(v.get("exit_code").and_then(Json::as_u64), Some(13), "{r}");
+        assert_eq!(v.get("stage").and_then(Json::as_str), Some("busy"), "{v:?}");
+        assert_eq!(v.get("exit_code").and_then(Json::as_u64), Some(13), "{v:?}");
         assert!(
             v.get("retry_after_ms").and_then(Json::as_u64) > Some(0),
-            "busy must carry a positive retry_after_ms: {r}"
+            "busy must carry a positive retry_after_ms: {v:?}"
         );
         busy += 1;
     }
     assert!(served >= 1, "one storm tune must win the permit");
     assert!(busy >= 1, "overflow must be shed with typed busy");
 
-    let m = daemon.snapshot();
-    assert_eq!(m.busy, busy, "daemon and clients must agree on busy count");
-    assert_eq!(m.errors, 0, "admission sheds busy, not errors");
+    let mut admin = connect(addr);
+    let stats = call(&mut admin, r#"{"op":"stats"}"#);
+    assert_eq!(
+        stats.get("busy").and_then(Json::as_u64),
+        Some(busy as u64),
+        "daemon and clients must agree on busy count"
+    );
+    assert_eq!(
+        stats.get("errors").and_then(Json::as_u64),
+        Some(0),
+        "admission sheds busy, not errors"
+    );
     assert_eq!(daemon.gate().depth(), (0, 0), "all permits released");
+    let down = call(&mut admin, r#"{"op":"shutdown"}"#);
+    assert_eq!(down.get("ok").and_then(Json::as_bool), Some(true));
+    drop(admin);
+    server
+        .join()
+        .unwrap()
+        .expect("the transport drains and exits cleanly");
 }
 
 /// Identical concurrent requests need only the leader's permit: with a

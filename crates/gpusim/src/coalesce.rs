@@ -55,7 +55,8 @@ pub fn transactions_per_warp(kernel: &MappedKernel, acc: &ArrayAccess, arch: &Gp
     let n_warps = threads.div_ceil(warp);
     let mut total_txn = 0usize;
     let mut n_samples = 0usize;
-    let mut segments: Vec<usize> = Vec::with_capacity(warp);
+    // No warp has more lanes than its block has threads.
+    let mut segments: Vec<usize> = Vec::with_capacity(warp.min(threads));
     for &off in &sample_offsets {
         for w in 0..n_warps {
             segments.clear();
@@ -88,10 +89,12 @@ pub fn transactions_per_warp(kernel: &MappedKernel, acc: &ArrayAccess, arch: &Gp
 pub fn temporal_factor(kernel: &MappedKernel, acc: &ArrayAccess, arch: &GpuArch) -> f64 {
     let elem_bytes = 8.0;
     let tseg = arch.transaction_bytes as f64;
+    // A transaction narrower than one element leaves nothing to reuse.
+    let floor = (elem_bytes / tseg).min(1.0);
     for l in kernel.interior.iter().rev() {
         let stride = acc.stride_of(&l.var);
         if stride != 0 {
-            return ((stride as f64 * elem_bytes) / tseg).clamp(elem_bytes / tseg, 1.0);
+            return ((stride as f64 * elem_bytes) / tseg).clamp(floor, 1.0);
         }
     }
     1.0

@@ -41,10 +41,13 @@ pub fn occupancy(kernel: &MappedKernel, arch: &GpuArch) -> Occupancy {
     let warps_per_block = tpb.div_ceil(warp);
     let regs_per_thread = estimate_regs_per_thread(kernel);
 
+    // A descriptor may hold any positive u32, so every product below is
+    // taken in u64; each quotient or minimum it feeds fits back in u32.
     let by_threads = arch.max_threads_per_sm / tpb.max(1);
     let by_blocks = arch.max_blocks_per_sm;
     let by_warps = arch.max_warps_per_sm / warps_per_block.max(1);
-    let by_regs = arch.regs_per_sm / (regs_per_thread * tpb).max(1);
+    let by_regs =
+        (u64::from(arch.regs_per_sm) / (u64::from(regs_per_thread) * u64::from(tpb)).max(1)) as u32;
     let smem = kernel.smem_bytes_per_block() as u32;
     let by_smem = if smem > 0 {
         arch.smem_per_sm / smem.max(1)
@@ -61,9 +64,10 @@ pub fn occupancy(kernel: &MappedKernel, arch: &GpuArch) -> Occupancy {
     let num_blocks = kernel.num_blocks() as u32;
     let active_sms = num_blocks.min(arch.sm_count).max(1);
     let resident_blocks = num_blocks.div_ceil(active_sms).min(cap).max(1);
-    let active_warps = (resident_blocks * warps_per_block).min(arch.max_warps_per_sm);
-    let capacity = cap * arch.sm_count;
-    let waves = num_blocks.div_ceil(capacity).max(1);
+    let active_warps = (u64::from(resident_blocks) * u64::from(warps_per_block))
+        .min(u64::from(arch.max_warps_per_sm)) as u32;
+    let capacity = u64::from(cap) * u64::from(arch.sm_count);
+    let waves = u64::from(num_blocks).div_ceil(capacity).max(1) as u32;
 
     Occupancy {
         cap_blocks_per_sm: cap,
@@ -72,7 +76,7 @@ pub fn occupancy(kernel: &MappedKernel, arch: &GpuArch) -> Occupancy {
         fraction: active_warps as f64 / arch.max_warps_per_sm as f64,
         active_sms,
         waves,
-        lane_efficiency: tpb as f64 / (warps_per_block * warp) as f64,
+        lane_efficiency: tpb as f64 / (u64::from(warps_per_block) * u64::from(warp)) as f64,
         regs_per_thread,
     }
 }

@@ -3,11 +3,18 @@
 //! losslessly, the content digest must ignore everything that is not a
 //! field value (key order, whitespace, comments), and *every* single
 //! field edit must change the digest — that is what makes the digest a
-//! safe plan-store cache salt.
+//! safe plan-store cache salt. The model itself must not panic under
+//! any descriptor validation accepts, however extreme.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gpusim::descriptor::FIELD_NAMES;
-use gpusim::{ArchDescriptor, GpuArch};
+use gpusim::{kernel_time_s, validate_kernel, ArchDescriptor, GpuArch};
 use proptest::prelude::*;
+use tcr::mapping::{map_kernel, MappedKernel};
+use tcr::space::ProgramSpace;
+use tcr::TcrProgram;
+use tensor::index::uniform_dims;
 
 /// Characters legal in every string field (the key charset is the
 /// restrictive one: `[A-Za-z0-9._-]`).
@@ -195,4 +202,138 @@ proptest! {
             .expect("edited text must still be a valid descriptor");
         prop_assert_ne!(back.digest(), d.digest());
     }
+}
+
+/// A descriptor field's name, with a handle to set it.
+type Field<T> = (&'static str, fn(&mut GpuArch) -> &mut T);
+
+/// Every integer field of the descriptor schema but the one `u64`
+/// (`l2_bytes`).
+const U32_FIELDS: &[Field<u32>] = &[
+    ("sm_count", |a| &mut a.sm_count),
+    ("smem_per_sm", |a| &mut a.smem_per_sm),
+    ("max_threads_per_sm", |a| &mut a.max_threads_per_sm),
+    ("max_blocks_per_sm", |a| &mut a.max_blocks_per_sm),
+    ("max_warps_per_sm", |a| &mut a.max_warps_per_sm),
+    ("regs_per_sm", |a| &mut a.regs_per_sm),
+    ("warp_size", |a| &mut a.warp_size),
+    ("transaction_bytes", |a| &mut a.transaction_bytes),
+];
+
+/// Every float field of the descriptor schema.
+const F64_FIELDS: &[Field<f64>] = &[
+    ("clock_ghz", |a| &mut a.clock_ghz),
+    ("dp_flops_per_cycle_per_sm", |a| {
+        &mut a.dp_flops_per_cycle_per_sm
+    }),
+    ("issue_lanes_per_cycle_per_sm", |a| {
+        &mut a.issue_lanes_per_cycle_per_sm
+    }),
+    ("mem_bw_gbs", |a| &mut a.mem_bw_gbs),
+    ("l2_bw_gbs", |a| &mut a.l2_bw_gbs),
+    ("kernel_launch_us", |a| &mut a.kernel_launch_us),
+    ("pcie_bw_gbs", |a| &mut a.pcie_bw_gbs),
+    ("pcie_latency_us", |a| &mut a.pcie_latency_us),
+    ("dp_latency_cycles", |a| &mut a.dp_latency_cycles),
+    ("l2_latency_cycles", |a| &mut a.l2_latency_cycles),
+    ("compile_seconds", |a| &mut a.compile_seconds),
+];
+
+/// K20 with one numeric field moved to each extreme validation accepts:
+/// an integer at 1 and at its type's maximum, a float at `f64::MAX` and
+/// at `f64::MIN_POSITIVE`. Each is labelled `field = value`.
+fn extreme_archs() -> Vec<(String, GpuArch)> {
+    let mut out = Vec::new();
+    let mut push = |label: String, edit: &dyn Fn(&mut GpuArch)| {
+        let mut a = gpusim::k20();
+        edit(&mut a);
+        out.push((label, a));
+    };
+    for &(name, field) in U32_FIELDS {
+        for v in [1, u32::MAX] {
+            push(format!("{name} = {v}"), &|a| *field(a) = v);
+        }
+    }
+    for v in [1, u64::MAX] {
+        push(format!("l2_bytes = {v}"), &|a| a.l2_bytes = v);
+    }
+    for &(name, field) in F64_FIELDS {
+        for v in [f64::MAX, f64::MIN_POSITIVE] {
+            push(format!("{name} = {v:e}"), &|a| *field(a) = v);
+        }
+    }
+    out
+}
+
+/// Mapped kernels of Eqn. (1) and the TCE example at the builtins'
+/// extent 10: every version of each, with an evenly strided sample of
+/// each statement's configurations.
+fn sampled_kernels() -> Vec<MappedKernel> {
+    let sources: [(&str, &[&str]); 2] = [
+        (
+            "V[i j k] = Sum([l m n], A[l k] * B[m j] * C[n i] * U[l m n])",
+            &["i", "j", "k", "l", "m", "n"],
+        ),
+        (
+            "S[a b i j] = Sum([c d e f k l], A[a c i k] * B[b e f l] * C[d f j k] * D[c d e l])",
+            &["a", "b", "c", "d", "e", "f", "i", "j", "k", "l"],
+        ),
+    ];
+    let mut kernels = Vec::new();
+    for (src, indices) in sources {
+        let dims = uniform_dims(indices, 10);
+        let program = octopi::parse_program(src).expect("builtin source parses");
+        let statement = &program.statements[0];
+        for f in octopi::enumerate_factorizations(statement, &dims) {
+            let p = TcrProgram::from_factorization("sample", statement, &f, &dims);
+            let space = ProgramSpace::build(&p).expect("builtin space builds");
+            for (op, op_space) in space.per_op.iter().enumerate() {
+                let step = (op_space.len() / 8).max(1);
+                for choice in (0..op_space.len()).step_by(step) {
+                    if let Ok(k) = map_kernel(&p, op, op_space.config(choice), false) {
+                        kernels.push(k);
+                    }
+                }
+            }
+        }
+    }
+    kernels
+}
+
+/// Under a valid but extreme descriptor the model answers: a typed
+/// refusal or a time, never a panic (an integer overflow in a debug
+/// build) or an abort (an allocation sized by a descriptor field).
+#[test]
+fn extreme_descriptors_never_panic_the_model() {
+    let mut listed: Vec<&str> = ["name", "key", "generation", "l2_bytes"]
+        .into_iter()
+        .chain(U32_FIELDS.iter().map(|f| f.0))
+        .chain(F64_FIELDS.iter().map(|f| f.0))
+        .collect();
+    listed.sort_unstable();
+    let mut schema = FIELD_NAMES.to_vec();
+    schema.sort_unstable();
+    assert_eq!(
+        listed, schema,
+        "every numeric field is moved to its extremes"
+    );
+    let kernels = sampled_kernels();
+    assert!(kernels.len() > 100, "{} kernels sampled", kernels.len());
+    let mut panicked = Vec::new();
+    for (label, arch) in extreme_archs() {
+        let text = ArchDescriptor::from_arch(arch).canonical_toml();
+        let arch = ArchDescriptor::parse_toml(&text)
+            .unwrap_or_else(|e| panic!("validation must accept {label}: {e}"))
+            .into_arch();
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            for k in &kernels {
+                let _ = validate_kernel(k, &arch);
+                let _ = kernel_time_s(k, &arch);
+            }
+        }));
+        if ran.is_err() {
+            panicked.push(label);
+        }
+    }
+    assert!(panicked.is_empty(), "the model panicked under {panicked:?}");
 }
